@@ -22,7 +22,6 @@ The authoritative capability matrix lives in :data:`BACKEND_MATRIX`
 from dataclasses import dataclass
 
 from .api import (
-    BackendInfo,
     CoverCounts,
     RunFailure,
     ScanChainCorruption,
@@ -67,17 +66,6 @@ BACKENDS = {
     "swarm": SwarmBackend,
 }
 
-BACKEND_INFO = [
-    BackendInfo("treadle", "tree-walking IR interpreter", "interpreter", "none"),
-    BackendInfo("verilator", "compiles the circuit to Python", "compiled", "compile"),
-    BackendInfo("essent", "compiled with activity gating", "compiled", "compile"),
-    BackendInfo("firesim", "scan-chain counters + host driver", "fpga", "synthesis"),
-    BackendInfo("formal", "SAT-based bounded model checking", "formal", "encode"),
-    BackendInfo("c", "compiles the circuit to native code", "compiled", "compile"),
-    BackendInfo("swarm", "bit-parallel packed-lane simulation", "compiled", "compile"),
-]
-
-
 @dataclass(frozen=True)
 class BackendCapabilities:
     """One row of the backend architecture matrix (DESIGN.md §14).
@@ -106,19 +94,19 @@ BACKEND_MATRIX = [
         "treadle", "tree-walking interpreter", False, True, True,
         "execution model", True, "-"),
     BackendCapabilities(
-        "treadle-jit", "generated Python closures", True, True, True,
+        "treadle-jit", "scalar renderer's generated Python class", True, True, True,
         "model + Python source", True, "treadle interpreter"),
     BackendCapabilities(
-        "verilator", "generated Python class", True, True, True,
+        "verilator", "scalar renderer's generated Python class", True, True, True,
         "model + Python source", True, "-"),
     BackendCapabilities(
-        "essent", "generated Python, activity-gated", True, True, True,
+        "essent", "scalar renderer, activity gate on", True, True, True,
         "model + Python source", True, "-"),
     BackendCapabilities(
-        "c", "cc-compiled shared object (ctypes)", True, True, True,
+        "c", "C renderer, cc-compiled shared object (ctypes)", True, True, True,
         "model + C source + .so artifact", True, "treadle JIT"),
     BackendCapabilities(
-        "swarm", "packed bit-parallel lanes (wide ints)", True, True, True,
+        "swarm", "packed-lane renderer, bit-parallel wide ints", True, True, True,
         "model + Python source (keyed by lane count)", True, "-"),
 ]
 
@@ -142,10 +130,8 @@ def backend_matrix_markdown() -> str:
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_INFO",
     "BACKEND_MATRIX",
     "BackendCapabilities",
-    "BackendInfo",
     "CBackend",
     "CSimulation",
     "backend_matrix_markdown",

@@ -205,16 +205,6 @@ class SimulatorBackend(Protocol):
         ...
 
 
-@dataclass
-class BackendInfo:
-    """Registry entry describing a backend (mirrors the paper's Table of §3)."""
-
-    name: str
-    description: str
-    kind: str  # interpreter | compiled | fpga | formal
-    startup_cost: str  # qualitative: none | compile | synthesis
-
-
 def has_port(sim: Simulation, port: str) -> bool:
     """Whether ``sim`` exposes a top-level port named ``port``.
 
@@ -228,17 +218,15 @@ def has_port(sim: Simulation, port: str) -> bool:
     return True
 
 
-def metered_step(meter, run: Callable[[], object], cycles_of=None):
+def metered_step(meter, run: Callable[[], StepResult]) -> StepResult:
     """Run one ``step()`` batch, crediting wall time and cycles to ``meter``.
 
     The one telemetry wrapper every software backend's hot loop shares:
     one attribute check when telemetry is disabled, one timed call and a
-    :class:`~repro.runtime.telemetry.StepMeter` credit when enabled.
-    Time is wall-clock seconds (``time.perf_counter``), cycles are clock
-    edges; together they feed the ``repro_backend_cycles_per_second``
-    gauge.  ``cycles_of`` extracts the cycle count from ``run``'s
-    result; by default the result itself is the count (backends whose
-    generated ``run`` returns a plain integer).  Thread-safety is the
+    :class:`~repro.runtime.telemetry.StepMeter` credit of the result's
+    ``cycles`` when enabled.  Time is wall-clock seconds
+    (``time.perf_counter``), cycles are clock edges; together they feed
+    the ``repro_backend_cycles_per_second`` gauge.  Thread-safety is the
     meter's concern: :class:`StepMeter` adds are not atomic, so each
     simulation owns its own meter.  Exceptions from ``run`` propagate
     unchanged with nothing credited.
@@ -247,8 +235,7 @@ def metered_step(meter, run: Callable[[], object], cycles_of=None):
         return run()
     started = time.perf_counter()
     result = run()
-    cycles = cycles_of(result) if cycles_of is not None else result
-    meter.add(cycles, time.perf_counter() - started)
+    meter.add(result.cycles, time.perf_counter() - started)
     return result
 
 

@@ -2,8 +2,8 @@
 
 The portable JIT (:mod:`repro.backends.treadle`) recovered ~56x over the
 tree-walking interpreter while staying pure Python; this backend takes
-the remaining headroom the ROADMAP identifies by emitting C99 from the
-*same* lowered :class:`~repro.backends.model.CircuitModel`, shelling out
+the remaining headroom the ROADMAP identifies by rendering C99 from the
+*same* :class:`~repro.backends.schedule.Schedule` walk, shelling out
 to a system C compiler (``cc -O2 -shared -fPIC``), and loading the
 artifact through :mod:`ctypes` behind a small, stable ABI:
 
@@ -31,8 +31,8 @@ behaviour bit-for-bit — the hypothesis parity suite pins this backend
 against the interpreter the same way it pins the JIT.
 
 Builds are keyed through the content-addressed model cache: the cache key
-covers the emitted C (via the circuit fingerprint + ``CODEGEN_VERSION`` +
-:data:`C_EMITTER_VERSION`) *and* the identity of the discovered compiler
+covers the emitted C (via the circuit fingerprint + ``CODEGEN_VERSION``)
+*and* the identity of the discovered compiler
 (first line of ``cc --version``), so a toolchain upgrade invalidates
 stale ``.so`` artifacts instead of silently reusing them.  The ``.so``
 lives next to the pickled model entry (``<key>.so``) and is rebuilt from
@@ -60,19 +60,14 @@ from pathlib import Path
 from typing import Optional
 
 from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
-from ..ir.traversal import walk_expr
 from ..ir.types import bit_width, is_signed, mask
-from ..runtime.telemetry import StepMeter, obs
-from .api import CoverCounts, StepResult, metered_step, saturate
-from .model import CircuitModel, MemoryModel, build_model
-from .modelcache import CacheEntry, ModelCache, compile_cached, resolve_cache
-from .pycodegen import CodeBuilder, pynames
+from ..runtime.telemetry import obs
+from .model import CircuitModel, MemoryModel
+from .modelcache import CacheEntry, ModelCache, compile_schedule, resolve_cache
+from .pycodegen import CodeBuilder
+from .schedule import Schedule
 from .treadle import TreadleBackend
-
-#: Version of the C emitter's output contract.  Mixed into the cache-key
-#: options, so any change to the emitted C invalidates cached artifacts
-#: without having to bump the repo-wide ``CODEGEN_VERSION``.
-C_EMITTER_VERSION = 1
+from .verilator import VerilatorSimulation
 
 #: Version stamped into (and checked out of) every generated artifact.
 C_ABI_VERSION = 1
@@ -140,59 +135,25 @@ def compiler_id(path: str) -> str:
 # -- C code generation ----------------------------------------------------------
 
 
-def _model_exprs(model: CircuitModel):
-    for _, expr in model.comb:
-        yield expr
-    for reg in model.registers:
-        yield reg.next
-        if reg.reset is not None:
-            yield reg.reset
-        if reg.init is not None:
-            yield reg.init
-    for cover in model.covers:
-        yield cover.pred
-        yield cover.en
-    for stop in model.stops:
-        yield stop.pred
-        yield stop.en
-    for memory in model.memories:
-        for write in memory.writes:
-            yield write.addr
-            yield write.data
-            yield write.en
-
-
 def word_width(model: CircuitModel) -> int:
     """The machine word width (64 or 128) needed to hold every value.
 
-    Raw masked values fit their expression's own bit width, so the widest
-    *sub-expression* anywhere in the model bounds the required word.
-    Raises :class:`CUnsupportedCircuit` past 128 bits — the caller falls
-    back to the (arbitrary-precision) JIT tier rather than miscompute.
+    Raw masked values fit their expression's own bit width, so the
+    schedule's widest value bounds the required word.  Raises
+    :class:`CUnsupportedCircuit` past 128 bits — the caller falls back
+    to the (arbitrary-precision) JIT tier rather than miscompute.
     """
-    widest = 1
-    for root in _model_exprs(model):
-        for node in walk_expr(root):
-            widest = max(widest, bit_width(node.tpe))
-    for width in model.widths.values():
-        widest = max(widest, width)
-    for memory in model.memories:
-        widest = max(widest, memory.width)
+    return _word(Schedule(model))
+
+
+def _word(schedule: Schedule) -> int:
+    widest = schedule.widest
     if widest <= 64:
         return 64
     if widest <= 128:
         return 128
     raise CUnsupportedCircuit(
         f"widest intermediate value is {widest} bits (limit: 128)"
-    )
-
-
-def signal_names(model: CircuitModel) -> list[str]:
-    """The canonical peek/poke index order: inputs, registers, comb."""
-    return (
-        [p.name for p in model.inputs]
-        + [r.name for r in model.registers]
-        + [name for name, _ in model.comb]
     )
 
 
@@ -374,19 +335,6 @@ class _CExprGen:
             return texts[0]
         raise TypeError(f"cannot generate C for primop {op}")
 
-    def fit(self, text: str, tpe, width: int) -> str:
-        """Re-encode an expression's raw value into a ``width``-bit register.
-
-        Mirrors the JIT's ``_fit``: narrower signed sources sign-extend,
-        wider sources truncate, matching widths pass through untouched.
-        """
-        w = bit_width(tpe)
-        if is_signed(tpe) and w < width:
-            return self.m(f"((uN){self.sx(text, w)})", width)
-        if w > width:
-            return self.m(text, width)
-        return text
-
     def predicate(self, pred: Expr, en: Expr) -> str:
         """A cover/stop firing condition, dropping a constant-true enable."""
         pred_text = self.gen(pred)
@@ -431,24 +379,61 @@ static inline sN _sshr(sN x, uN s) {
 """
 
 
+class _StepRenderer:
+    """Emits one edge of the ``repro_step`` loop from the schedule walk."""
+
+    def __init__(self, schedule: Schedule, gen: _CExprGen, b: CodeBuilder) -> None:
+        self.ids = schedule.ids
+        self.gen = gen
+        self.b = b
+
+    def assign(self, name, expr) -> None:
+        self.b.emit(f"const uN {self.ids[name]} = {self.gen.gen(expr)};")
+
+    def settled(self) -> None:
+        pass
+
+    def cover(self, slot, pred, en) -> None:
+        self.b.emit(f"if ({self.gen.predicate(pred, en)}) cov[{slot}] += 1;")
+
+    def stop(self, index, pred, en) -> None:
+        keyword = "else if" if index else "if"
+        self.b.emit(f"{keyword} ({self.gen.predicate(pred, en)}) s->halted = {index};")
+
+    def next(self, index, expr) -> None:
+        self.b.emit(f"const uN n_{index} = {self.gen.gen(expr)};")
+
+    def write(self, write) -> None:
+        gen = self.gen
+        addr = gen.gen(write.addr)
+        guard = gen.gen(write.en)
+        if write.bound is not None:
+            guard = f"({guard}) && (({addr}) < {gen.lit(write.bound)})"
+        index = gen.m(addr, write.memory.padded_depth.bit_length() - 1)
+        self.b.emit(f"if ({guard}) {write.mem_id}[(size_t)({index})] = {gen.gen(write.data)};")
+
+    def commit(self, index, name) -> None:
+        self.b.emit(f"{self.ids[name]} = n_{index};")
+
+
 def generate_c_source(model: CircuitModel) -> str:
     """Emit the complete C99 translation unit for ``model``.
 
     One ``state_t`` struct holds every signal (inputs, registers, and —
     refreshed by ``repro_settle`` — combinational values), the memories,
-    the raw 64-bit cover counters, and the fired-stop index.  The hot
-    ``repro_step`` loop keeps register state in locals and only touches
-    the struct for covers/stops/memories, mirroring the fused JIT loop.
+    the raw 64-bit cover counters (one per slot), and the fired-stop
+    index.  The hot ``repro_step`` loop is the schedule walk, keeping
+    register state in locals and touching the struct only for
+    covers/stops/memories, like the scalar Python renderer's fused loop.
 
     Raises :class:`CUnsupportedCircuit` when any intermediate value
     exceeds 128 bits.
     """
-    W = word_width(model)
-    names = signal_names(model)
-    ids = pynames(names)
-    mem_ids = {m.name: f"m_{i}" for i, m in enumerate(model.memories)}
+    schedule = Schedule(model)
+    W = _word(schedule)
+    names, ids, mem_ids = schedule.names, schedule.ids, schedule.mem_ids
     memories = {m.name: m for m in model.memories}
-    n_covers = len(model.covers)
+    n_covers = len(schedule.slots)
 
     b = CodeBuilder()
     b.emit("/* Generated by repro.backends.cbackend -- do not edit. */")
@@ -532,53 +517,7 @@ def generate_c_source(model: CircuitModel) -> str:
     b.emit("uint64_t i;")
     b.emit("for (i = 0; i < cycles; i++) {")
     b.depth += 1
-    for name, expr in model.comb:
-        b.emit(f"const uN {ids[name]} = {local_gen.gen(expr)};")
-    for index, cover in enumerate(model.covers):
-        b.emit(f"if ({local_gen.predicate(cover.pred, cover.en)}) {{")
-        b.depth += 1
-        b.emit(f"cov[{index}] += 1;")
-        b.depth -= 1
-        b.emit("}")
-    keyword = "if"
-    for index, stop in enumerate(model.stops):
-        b.emit(f"{keyword} ({local_gen.predicate(stop.pred, stop.en)}) {{")
-        b.depth += 1
-        b.emit(f"s->halted = {index};")
-        b.depth -= 1
-        b.emit("}")
-        keyword = "else if"
-    for i, reg in enumerate(model.registers):
-        next_text = local_gen.fit(
-            local_gen.gen(reg.next), reg.next.tpe, reg.width
-        )
-        if reg.reset is not None and reg.init is not None:
-            init_text = local_gen.fit(
-                local_gen.gen(reg.init), reg.init.tpe, reg.width
-            )
-            cond = local_gen.gen(reg.reset)
-            b.emit(f"const uN n_{i} = ({cond}) ? ({init_text}) : ({next_text});")
-        else:
-            b.emit(f"const uN n_{i} = {next_text};")
-    for memory in model.memories:
-        pad_bits = memory.padded_depth.bit_length() - 1
-        for write in memory.writes:
-            addr = local_gen.gen(write.addr)
-            data = local_gen.m(local_gen.gen(write.data), memory.width)
-            en = local_gen.gen(write.en)
-            guard = (
-                f"({en}) && (({addr}) < {local_gen.lit(memory.depth)})"
-                if memory.needs_write_guard
-                else en
-            )
-            index = local_gen.m(addr, pad_bits)
-            b.emit(f"if ({guard}) {{")
-            b.depth += 1
-            b.emit(f"{mem_ids[memory.name]}[(size_t)({index})] = {data};")
-            b.depth -= 1
-            b.emit("}")
-    for i, reg in enumerate(model.registers):
-        b.emit(f"{ids[reg.name]} = n_{i};")
+    schedule.walk(_StepRenderer(schedule, local_gen, b))
     b.emit("done += 1;")
     if model.stops:
         b.emit("if (s->halted >= 0) break;")
@@ -732,7 +671,7 @@ class _CompiledLib:
     ``runtime`` dict, so forks and later compiles skip ``dlopen``.
     """
 
-    def __init__(self, path: Path, model: CircuitModel) -> None:
+    def __init__(self, path: Path, schedule: Schedule) -> None:
         self.path = path
         try:
             lib = ctypes.CDLL(str(path))
@@ -764,11 +703,11 @@ class _CompiledLib:
                 getattr(lib, probe).argtypes = []
         except AttributeError as exc:
             raise CBackendError(f"{path} is missing ABI symbols: {exc}") from exc
-        names = signal_names(model)
+        names = schedule.names
         checks = (
             ("abi version", lib.repro_abi_version(), C_ABI_VERSION),
             ("signal count", lib.repro_num_signals(), len(names)),
-            ("cover count", lib.repro_num_covers(), len(model.covers)),
+            ("cover count", lib.repro_num_covers(), len(schedule.slots)),
             ("value words", lib.repro_value_words(), VALUE_WORDS),
         )
         for what, got, want in checks:
@@ -778,7 +717,7 @@ class _CompiledLib:
                 )
         self._lib = lib
         self.index = {name: i for i, name in enumerate(names)}
-        self.n_covers = len(model.covers)
+        self.slots = schedule.slots
         self.create = lib.repro_create
         self.destroy = lib.repro_destroy
         self.reset = lib.repro_reset
@@ -790,176 +729,82 @@ class _CompiledLib:
         self.read_covers = lib.repro_read_covers
 
 
-class CSimulation:
-    """ctypes wrapper implementing the standard Simulation protocol.
+class _NativeState:
+    """One native simulation state, behind the scalar engine interface.
 
-    State lives entirely inside the native artifact; this wrapper maps
-    port names to ABI indices, tracks combinational staleness (settling
-    before peeks exactly like the other compiled backends), applies
-    counter-width saturation at read time, and feeds the shared
-    ``StepMeter`` so cycles/second telemetry reports the ``c`` backend
-    alongside the others.
+    Offers :class:`~repro.backends.verilator.VerilatorSimulation` what a
+    ``GeneratedSim`` instance does — ``settle()``, ``run(cycles)``, raw
+    ``counters`` by cover slot, ``halted``, ``cycle`` — with signal
+    values read and written by ABI index, as ``VALUE_WORDS`` 64-bit
+    words.  Frees the native state when collected.
+    """
+
+    def __init__(self, clib: _CompiledLib) -> None:
+        handle = clib.create()
+        if not handle:
+            raise MemoryError("repro_create returned NULL")
+        self._clib = clib
+        self._handle = handle
+        self._buf = (ctypes.c_uint64 * VALUE_WORDS)()
+        self.halted: Optional[int] = None
+        self.cycle = 0
+
+    def settle(self) -> None:
+        self._clib.settle(self._handle)
+
+    def run(self, cycles: int) -> int:
+        done = int(self._clib.step(self._handle, cycles))
+        self.cycle += done
+        index = self._clib.halted(self._handle)
+        if index >= 0:
+            self.halted = index
+        return done
+
+    @property
+    def counters(self):
+        raw = (ctypes.c_uint64 * max(1, len(self._clib.slots)))()
+        self._clib.read_covers(self._handle, raw)
+        return raw
+
+    def __getitem__(self, index: int) -> int:
+        buf = self._buf
+        self._clib.peek(self._handle, index, buf)
+        return buf[0] | (buf[1] << 64)
+
+    def __setitem__(self, index: int, raw: int) -> None:
+        buf = self._buf
+        buf[0] = raw & _U64_MASK
+        buf[1] = (raw >> 64) & _U64_MASK
+        self._clib.poke(self._handle, index, buf)
+
+    def __del__(self) -> None:
+        handle = getattr(self, "_handle", None)
+        if handle:
+            try:
+                self._clib.destroy(handle)
+            except Exception:
+                pass
+            self._handle = None
+
+
+class CSimulation(VerilatorSimulation):
+    """The scalar simulation wrapper over a native state.
+
+    State lives entirely inside the loaded artifact; the wrapper every
+    scalar tier shares maps names to ABI indices, settles before peeks,
+    clamps counters at read time and reports cycles/second under the
+    ``c`` label.  ``plan`` is the loaded :class:`_CompiledLib`.
     """
 
     backend_name = "c"
 
-    def __init__(
-        self,
-        model: CircuitModel,
-        counter_width: Optional[int] = None,
-        clib: Optional[_CompiledLib] = None,
-    ) -> None:
-        assert clib is not None, "CSimulation requires a loaded artifact"
-        self._model = model
-        self._counter_width = counter_width
-        self._clib = clib
-        handle = clib.create()
-        if not handle:
-            raise MemoryError("repro_create returned NULL")
-        self._handle = handle
-        self._dirty = True
-        self._stopped: Optional[StepResult] = None
-        self._value_probes: dict[str, dict[int, int]] = {}
-        self._input_names = {p.name for p in model.inputs}
-        self._port_names = model.port_names
-        self._buf = (ctypes.c_uint64 * VALUE_WORDS)()
-        self._meter = StepMeter("c")
-        self.cycle = 0
-
-    # -- public API ----------------------------------------------------------
-
-    def poke(self, port: str, value: int) -> None:
-        """Drive a top-level input (value truncated to the port width)."""
-        width = self._model.widths.get(port)
-        if width is None or port not in self._input_names:
-            raise KeyError(f"no such input port: {port}")
-        raw = value & mask(width)
-        buf = self._buf
-        buf[0] = raw & _U64_MASK
-        buf[1] = (raw >> 64) & _U64_MASK
-        self._clib.poke(self._handle, self._clib.index[port], buf)
-        self._dirty = True
-
-    def peek(self, port: str) -> int:
-        """Sample a top-level port (settles combinational logic first)."""
-        if port not in self._port_names:
-            raise KeyError(f"no such port: {port}")
-        if port not in self._input_names:
-            self._settle()
-        return self._read(port)
-
-    def peek_internal(self, name: str) -> int:
-        """Debug access to any internal signal."""
-        index = self._clib.index.get(name)
-        if index is None:
-            raise KeyError(f"no such signal: {name}")
-        self._settle()
-        return self._read(name)
-
-    def step(self, cycles: int = 1) -> StepResult:
-        """Advance by rising clock edges; stops early if a Stop fires."""
-        return metered_step(
-            self._meter, lambda: self._step(cycles), lambda r: r.cycles
-        )
-
-    def cover_counts(self) -> CoverCounts:
-        """Saturating cover counters keyed by canonical hierarchical name."""
-        n = self._clib.n_covers
-        raw = (ctypes.c_uint64 * max(1, n))()
-        self._clib.read_covers(self._handle, raw)
-        merged: dict[str, int] = {}
-        for i, cover in enumerate(self._model.covers):
-            merged[cover.name] = merged.get(cover.name, 0) + raw[i]
-        return {
-            name: saturate(count, self._counter_width)
-            for name, count in merged.items()
-        }
-
-    def watch_values(self, signal: str) -> None:
-        """Efficient ``cover-values``: histogram a signal's value per cycle."""
-        if signal not in self._model.widths:
-            raise KeyError(f"no such signal: {signal}")
-        self._value_probes.setdefault(signal, {})
-
-    def value_histogram(self, signal: str) -> dict[int, int]:
-        """The recorded per-cycle value histogram for a watched signal."""
-        return dict(self._value_probes[signal])
-
     @property
-    def stopped(self) -> bool:
-        """Whether a Stop statement has halted this simulation."""
-        return self._stopped is not None
+    def _clib(self) -> _CompiledLib:
+        return self._plan
 
-    def fork(self) -> "CSimulation":
-        """A fresh simulation of the same design, sharing the loaded .so."""
-        return CSimulation(self._model, self._counter_width, self._clib)
-
-    def reset_state(self) -> None:
-        """Zero all architectural state, cover counters, and the stop latch."""
-        self._clib.reset(self._handle)
-        self._stopped = None
-        self._dirty = True
-        self.cycle = 0
-        for histogram in self._value_probes.values():
-            histogram.clear()
-
-    # -- internals -----------------------------------------------------------
-
-    def _settle(self) -> None:
-        if self._dirty:
-            self._clib.settle(self._handle)
-            self._dirty = False
-
-    def _read(self, name: str) -> int:
-        buf = self._buf
-        self._clib.peek(self._handle, self._clib.index[name], buf)
-        return buf[0] | (buf[1] << 64)
-
-    def _halted_result(self, done: int) -> Optional[StepResult]:
-        index = self._clib.halted(self._handle)
-        if index < 0:
-            return None
-        stop = self._model.stops[index]
-        self._stopped = StepResult(0, True, stop.name, stop.exit_code)
-        return StepResult(done, True, stop.name, stop.exit_code)
-
-    def _step(self, cycles: int) -> StepResult:
-        if cycles > 0 and self._stopped is not None:
-            halted = self._stopped
-            return StepResult(0, True, halted.stop_name, halted.exit_code)
-        if cycles <= 0:
-            return StepResult(0)
-        if not self._value_probes:
-            done = int(self._clib.step(self._handle, cycles))
-            self.cycle += done
-            if done:
-                self._dirty = True
-            return self._halted_result(done) or StepResult(done)
-        # Value probes need the settled pre-edge values every cycle, so
-        # this path steps one edge at a time (still native per edge).
-        done = 0
-        for _ in range(cycles):
-            self._settle()
-            for signal, histogram in self._value_probes.items():
-                value = self._read(signal)
-                histogram[value] = histogram.get(value, 0) + 1
-            done += int(self._clib.step(self._handle, 1))
-            self.cycle = self.cycle + 1
-            self._dirty = True
-            result = self._halted_result(done)
-            if result is not None:
-                return result
-        return StepResult(done)
-
-    def __del__(self) -> None:
-        handle = getattr(self, "_handle", None)
-        clib = getattr(self, "_clib", None)
-        if handle and clib is not None:
-            try:
-                clib.destroy(handle)
-            except Exception:
-                pass
-            self._handle = None
+    def _new_engine(self):
+        state = _NativeState(self._plan)
+        return state, state, self._plan.index
 
 
 class CBackend:
@@ -1000,19 +845,13 @@ class CBackend:
             return self._fallback(circuit_or_state, counter_width, "no-compiler")
         ccid = compiler_id(cc)
 
-        def build() -> CacheEntry:
-            with obs.span("compile", cat="compile", backend=self.name):
-                model = build_model(circuit_or_state)
-                source = generate_c_source(model)
-            return CacheEntry(key="", backend=self.name, model=model, source=source)
-
         try:
-            entry = compile_cached(
+            entry = compile_schedule(
                 circuit_or_state,
                 self.name,
-                build,
+                generate_c_source,
                 cache=self._cache,
-                options=(f"cemit{C_EMITTER_VERSION}", f"cc:{ccid}"),
+                options=(f"cc:{ccid}",),
             )
         except CUnsupportedCircuit as exc:
             return self._fallback(
@@ -1022,7 +861,7 @@ class CBackend:
         if clib is None:
             clib = self._load_or_build(entry, cc)
             entry.runtime["clib"] = clib
-        return CSimulation(entry.model, counter_width, clib)
+        return CSimulation(entry.runtime["schedule"], counter_width, clib)
 
     # -- internals -----------------------------------------------------------
 
@@ -1034,18 +873,19 @@ class CBackend:
         return _scratch_dir() / f"{name}{SO_SUFFIX}"
 
     def _load_or_build(self, entry: CacheEntry, cc: str) -> _CompiledLib:
-        source = entry.source or generate_c_source(entry.model)
+        source = entry.source
         so_path = self._artifact_path(entry, source)
+        schedule = entry.runtime["schedule"]
         if artifact_ok(so_path):
             try:
-                return _CompiledLib(so_path, entry.model)
+                return _CompiledLib(so_path, schedule)
             except CBackendError:
                 # Truncated, corrupt, or ABI-stale artifact: rebuild it
                 # from the cached source — a bad .so can only ever cost
                 # a recompile, never a crash or a wrong simulation.
                 pass
         build_shared_object(source, cc, so_path)
-        return _CompiledLib(so_path, entry.model)
+        return _CompiledLib(so_path, schedule)
 
     def _fallback(self, circuit_or_state, counter_width, reason, detail=""):
         if reason not in self._warned:

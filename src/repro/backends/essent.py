@@ -9,9 +9,9 @@ invalidate the cache).  Cover statements are still sampled every cycle —
 coverage counts cycles, not activity.
 
 The paper's point about this backend is integration effort: adding the
-cover primitive took ~5 hours / 60 lines.  Here the cover support is the
-same ~30 generated lines as the Verilator backend, inherited through the
-shared codegen — the honest analog of that story.
+cover primitive took ~5 hours / 60 lines.  Here it took none: essent is
+the one scalar renderer (:func:`~repro.backends.pycodegen.render_python`)
+with its activity-gate option on — the honest analog of that story.
 """
 
 from __future__ import annotations
@@ -19,160 +19,18 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir.nodes import Circuit
-from .model import CircuitModel
-from .pycodegen import RUNTIME_HELPERS, CodeBuilder, gen_expr, predicate, pynames
 from .verilator import VerilatorBackend, VerilatorSimulation
-
-
-def generate_source(model: CircuitModel, counter_width: Optional[int]) -> str:
-    """Generate an activity-gated simulation module."""
-    all_names = (
-        [p.name for p in model.inputs]
-        + [r.name for r in model.registers]
-        + [name for name, _ in model.comb]
-    )
-    py = pynames(all_names)
-    mems = {m.name: f"m_{i}" for i, m in enumerate(model.memories)}
-
-    def gen(expr) -> str:
-        return gen_expr(expr, lambda n: py[n], lambda n: mems[n])
-
-    b = CodeBuilder()
-    b.emit('"""Generated by repro.backends.essent — do not edit."""')
-    for line in RUNTIME_HELPERS.strip().splitlines():
-        b.emit(line)
-    b.emit()
-    b.emit("class GeneratedSim:")
-    b.depth += 1
-    b.emit("def __init__(self):")
-    b.depth += 1
-    for port in model.inputs:
-        b.emit(f"self.{py[port.name]} = 0")
-    for reg in model.registers:
-        b.emit(f"self.{py[reg.name]} = 0")
-    for memory in model.memories:
-        b.emit(f"self.{mems[memory.name]} = [0] * {memory.padded_depth}")
-    b.emit(f"self.counters = [0] * {len(model.covers)}")
-    b.emit("self.cycle = 0")
-    b.emit("self.halted = None")
-    b.emit("self.evals = 0")
-    b.emit("self.skips = 0")
-    b.depth -= 1
-    b.emit()
-
-    b.emit("def settle(self):")
-    b.depth += 1
-    for port in model.inputs:
-        b.emit(f"{py[port.name]} = self.{py[port.name]}")
-    for reg in model.registers:
-        b.emit(f"{py[reg.name]} = self.{py[reg.name]}")
-    for memory in model.memories:
-        b.emit(f"{mems[memory.name]} = self.{mems[memory.name]}")
-    for name, expr in model.comb:
-        b.emit(f"{py[name]} = {gen(expr)}")
-    for port in model.outputs:
-        b.emit(f"self.o_{py[port.name]} = {py[port.name]}")
-    if not (model.inputs or model.registers or model.comb):
-        b.emit("pass")
-    b.depth -= 1
-    b.emit()
-
-    b.emit("def run(self, cycles):")
-    b.depth += 1
-    b.emit("cnt = self.counters")
-    b.emit("done = 0")
-    b.emit("prev_sig = None")
-    b.emit("mem_dirty = True")
-    for port in model.inputs:
-        b.emit(f"{py[port.name]} = self.{py[port.name]}")
-    for reg in model.registers:
-        b.emit(f"{py[reg.name]} = self.{py[reg.name]}")
-    for memory in model.memories:
-        b.emit(f"{mems[memory.name]} = self.{mems[memory.name]}")
-    signature = ", ".join(
-        [f"{py[p.name]}" for p in model.inputs] + [f"{py[r.name]}" for r in model.registers]
-    )
-    b.emit("for _ in range(cycles):")
-    b.depth += 1
-    b.emit(f"sig = ({signature},)" if signature else "sig = ()")
-    b.emit("if mem_dirty or sig != prev_sig:")
-    b.depth += 1
-    for name, expr in model.comb:
-        b.emit(f"{py[name]} = {gen(expr)}")
-    b.emit("prev_sig = sig")
-    b.emit("mem_dirty = False")
-    b.emit("self.evals += 1")
-    if not model.comb:
-        b.emit("pass")
-    b.depth -= 1
-    b.emit("else:")
-    b.depth += 1
-    b.emit("self.skips += 1")
-    b.depth -= 1
-    sat = None if counter_width is None else (1 << counter_width) - 1
-    for index, cover in enumerate(model.covers):
-        cond = predicate(gen, cover.pred, cover.en)
-        b.emit(f"if {cond}:")
-        b.depth += 1
-        if sat is None:
-            b.emit(f"cnt[{index}] += 1")
-        else:
-            b.emit(f"_n = cnt[{index}] + 1")
-            b.emit(f"if _n <= {sat}: cnt[{index}] = _n")
-        b.depth -= 1
-    has_stops = bool(model.stops)
-    for index, stop in enumerate(model.stops):
-        cond = predicate(gen, stop.pred, stop.en)
-        b.emit(f"if {cond}: self.halted = {index}")
-    for i, reg in enumerate(model.registers):
-        next_text = gen(reg.next)
-        if reg.reset is not None and reg.init is not None:
-            b.emit(f"n_{i} = {gen(reg.init)} if {gen(reg.reset)} else {next_text}")
-        else:
-            b.emit(f"n_{i} = {next_text}")
-    for memory in model.memories:
-        for write in memory.writes:
-            addr = gen(write.addr)
-            data = gen(write.data)
-            en = gen(write.en)
-            guard = (
-                f"{en} and ({addr}) < {memory.depth}"
-                if memory.needs_write_guard
-                else en
-            )
-            b.emit(f"if {guard}:")
-            b.depth += 1
-            b.emit(f"{mems[memory.name]}[{addr}] = {data}")
-            b.emit("mem_dirty = True")
-            b.depth -= 1
-    for i, reg in enumerate(model.registers):
-        b.emit(f"{py[reg.name]} = n_{i}")
-    b.emit("done += 1")
-    if has_stops:
-        b.emit("if self.halted is not None: break")
-    b.depth -= 1
-    for reg in model.registers:
-        b.emit(f"self.{py[reg.name]} = {py[reg.name]}")
-    b.emit("self.cycle += done")
-    b.emit("return done")
-    b.depth -= 1
-    b.depth -= 1
-    return b.source()
 
 
 class EssentSimulation(VerilatorSimulation):
     """Activity-gated compiled simulation (Simulation protocol).
 
-    Shares the whole poke/peek/step/fork wrapper — and the model-cache
-    ``entry=`` plumbing — with :class:`VerilatorSimulation`; only the
-    generated module (activity gating) and its stats differ.
+    Shares the whole poke/peek/step/fork wrapper with
+    :class:`VerilatorSimulation`; only the generated class (activity
+    gating) and its stats differ.
     """
 
     backend_name = "essent"
-
-    @staticmethod
-    def _generate(model, counter_width, value_probes) -> str:
-        return generate_source(model, counter_width)
 
     @property
     def activity_stats(self) -> tuple[int, int]:
@@ -185,9 +43,10 @@ class EssentBackend(VerilatorBackend):
 
     name = "essent"
     simulation_cls = EssentSimulation
+    activity_gate = True
 
     def compile(self, circuit: Circuit, counter_width: Optional[int] = None) -> EssentSimulation:
-        return self._compile(circuit, counter_width, ())
+        return self._compile(circuit, counter_width)
 
     def compile_state(self, state, counter_width: Optional[int] = None) -> EssentSimulation:
-        return self._compile(state, counter_width, ())
+        return self._compile(state, counter_width)

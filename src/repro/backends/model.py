@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..ir.nodes import (
-    Circuit,
     Connect,
     Cover,
     DefInstance,
@@ -117,19 +116,14 @@ class CircuitModel:
         return {p.name for p in self.inputs} | {p.name for p in self.outputs}
 
 
-def build_model(circuit_or_state, already_lowered: bool = False) -> CircuitModel:
+def build_model(circuit_or_state) -> CircuitModel:
     """Flatten + lower a circuit (if needed) and extract the execution model."""
     if isinstance(circuit_or_state, CompileState):
         state = circuit_or_state
-        needs_flatten = len(state.circuit.modules) > 1
-        if needs_flatten:
+        if len(state.circuit.modules) > 1:
             state = InlineInstances().run(state)
     else:
-        circuit: Circuit = circuit_or_state
-        if already_lowered and len(circuit.modules) == 1:
-            state = CompileState(circuit)
-        else:
-            state = lower(circuit, flatten=True)
+        state = lower(circuit_or_state, flatten=True)
     module = state.circuit.top
     if has_whens(module):
         raise PassError("execution model requires low form (run ExpandWhens)")

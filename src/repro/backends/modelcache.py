@@ -10,7 +10,8 @@ wall clock on small designs.  This module removes it:
 * **key** — a stable SHA-256 over the printed circuit IR (plus the
   flattening pass's canonical cover paths), the backend name, the
   :data:`~repro.backends.pycodegen.CODEGEN_VERSION`, and every
-  compile-affecting option (counter width, value probes, JIT mode).
+  compile-affecting option (value probes, JIT mode, lane count,
+  compiler identity).
   Identical instrumented circuits hash identically regardless of which
   process or host built them; *any* change to the codegen contract is a
   version bump that invalidates every entry at once.
@@ -18,8 +19,8 @@ wall clock on small designs.  This module removes it:
   :class:`~repro.backends.model.CircuitModel`, persisted on disk with
   the same atomic write-then-rename discipline as checkpoint shards,
   fronted by an in-process LRU.  Transient per-process artifacts (the
-  ``exec``'d module class, compiled JIT closures) are memoized on the
-  in-memory entry only — they are never pickled.
+  schedule, the ``exec``'d module class, a loaded ``.so``) are memoized
+  on the in-memory entry only — they are never pickled.
 * **fork-safety** — the in-process LRU is populated *before* the
   executor forks its workers, so every child inherits warm entries via
   copy-on-write and compiles nothing; the disk tier covers fresh
@@ -48,7 +49,9 @@ from typing import Any, Callable, Optional
 from ..ir.nodes import Circuit
 from ..ir.printer import print_circuit
 from ..runtime.telemetry import obs
+from .model import build_model
 from .pycodegen import CODEGEN_VERSION
+from .schedule import Schedule
 
 #: cache file format version (the *container*, not the generated code)
 CACHE_FORMAT_VERSION = 1
@@ -112,7 +115,7 @@ class CacheEntry:
     """One compiled model: persisted payload + per-process memoization.
 
     ``model`` and ``source`` survive pickling to disk; ``runtime`` is a
-    per-process scratch dict (exec'd classes, compiled closures) that is
+    per-process scratch dict (schedule, exec'd classes, loaded ``.so``) that is
     deliberately dropped on serialization — code objects do not pickle
     portably across interpreter versions.
     """
@@ -315,7 +318,6 @@ def compile_cached(
     backend: str,
     build: Callable[[], CacheEntry],
     cache: Optional[ModelCache] = None,
-    counter_width: Optional[int] = None,
     options: tuple = (),
 ) -> CacheEntry:
     """The one compile-request path every software backend shares.
@@ -325,10 +327,11 @@ def compile_cached(
     pre-cache behavior, entry-shaped.
 
     The cache key is content-addressed over the printed circuit,
-    ``backend`` name, ``counter_width``, and ``options`` — backends put
-    every input that changes their generated artifact into ``options``
-    (the c backend includes its emitter version *and* ``cc --version``,
-    so a compiler upgrade misses instead of loading a stale ``.so``).
+    ``backend`` name and ``options`` — backends put every input that
+    changes their generated artifact into ``options`` (the c backend
+    includes ``cc --version``, so a compiler upgrade misses instead of
+    loading a stale ``.so``).  The counter width is never one of them:
+    every backend clamps at read time.
     ``build`` runs at most once per key per process; concurrent
     processes may race to build the same key, which is safe because
     entries are written atomically and are bit-identical by
@@ -338,5 +341,37 @@ def compile_cached(
     effective = resolve_cache(cache)
     if effective is None:
         return build()
-    key = cache_key(circuit_or_state, backend, counter_width, options)
+    key = cache_key(circuit_or_state, backend, options=options)
     return effective.get_or_build(key, backend, build)
+
+
+def compile_schedule(
+    circuit_or_state,
+    backend: str,
+    render: Optional[Callable] = None,
+    cache: Optional[ModelCache] = None,
+    options: tuple = (),
+) -> CacheEntry:
+    """Lower, build the model and render it, through :func:`compile_cached`.
+
+    The compile path of every code-generating backend.  ``render`` maps
+    the :class:`~repro.backends.model.CircuitModel` to the generated
+    source (None for the interpreter, which needs only the model);
+    ``options`` carries everything else that changes that source.  The
+    returned entry holds the process's
+    :class:`~repro.backends.schedule.Schedule` in
+    ``entry.runtime["schedule"]``, built once per entry and shared by
+    every simulation of it.  Raises whatever lowering or ``render``
+    raises on a miss.
+    """
+
+    def build() -> CacheEntry:
+        with obs.span("compile", cat="compile", backend=backend):
+            model = build_model(circuit_or_state)
+            source = render(model) if render is not None else None
+        return CacheEntry(key="", backend=backend, model=model, source=source)
+
+    entry = compile_cached(circuit_or_state, backend, build, cache=cache, options=options)
+    if "schedule" not in entry.runtime:
+        entry.runtime["schedule"] = Schedule(entry.model)
+    return entry

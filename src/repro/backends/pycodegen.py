@@ -6,39 +6,31 @@ raw bit pattern (non-negative, already truncated to its width).  Signed
 interpretation happens locally inside each op via inline sign-fixup
 expressions, mirroring :mod:`repro.ir.ops` exactly — a property test pins
 the two against each other.
+
+:func:`render_python` is the one scalar renderer: the ``GeneratedSim``
+class treadle's JIT, verilator and essent all run, emitted from the
+:class:`~repro.backends.schedule.Schedule` walk.  :class:`SwarmEmitter`
+is the packed-lane expression generator the swarm renderer uses.
 """
 
 from __future__ import annotations
 
-import re
+import time
 from typing import Callable
 
 from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
 from ..ir.types import bit_width, is_signed, mask
+from .schedule import Schedule
 
-#: Version of the generated-code contract.  Any change to the code this
-#: module (or a backend's ``generate_source``) emits — operator lowering,
-#: state layout, cover sampling — must bump it: the content-addressed
-#: model cache (:mod:`repro.backends.modelcache`) mixes it into every
-#: cache key, so a bump invalidates all persisted entries at once.
-CODEGEN_VERSION = 1
+#: Version of the generated-code contract.  Any change to the code a
+#: renderer emits — operator lowering, state layout, cover sampling, the
+#: effect order — must bump it: the content-addressed model cache
+#: (:mod:`repro.backends.modelcache`) mixes it into every cache key, so a
+#: bump invalidates all persisted entries (and C artifacts) at once.
+CODEGEN_VERSION = 2
 
 RefFn = Callable[[str], str]
 MemFn = Callable[[str], str]
-
-
-def pynames(names: list[str]) -> dict[str, str]:
-    """Map signal names to safe, unique Python identifiers."""
-    out: dict[str, str] = {}
-    used: set[str] = set()
-    for index, name in enumerate(names):
-        base = "v_" + re.sub(r"[^A-Za-z0-9_]", "_", name)
-        candidate = base
-        while candidate in used:
-            candidate = f"{base}_{index}"
-        used.add(candidate)
-        out[name] = candidate
-    return out
 
 
 class CodeBuilder:
@@ -194,13 +186,178 @@ def _trem(a, b):
 '''
 
 
-# -- swarm (bit-parallel lane) emission ---------------------------------------
+# -- the scalar renderer ------------------------------------------------------
 
-#: Version of the swarm emitter's generated-code contract.  Mixed into the
-#: swarm backend's cache-key options (alongside the lane count), so swarm
-#: lowering changes invalidate swarm entries without touching the scalar
-#: backends' cache space.
-SWARM_EMITTER_VERSION = 1
+
+def render_python(
+    model, value_probes: tuple[str, ...] = (), activity_gate: bool = False
+) -> str:
+    """Render the one scalar simulation class, ``GeneratedSim``, for ``model``.
+
+    Inputs, registers and memories are instance attributes named by the
+    schedule's identifiers; ``counters`` is a list of raw counts indexed
+    by cover slot (clamping happens at read time).  ``settle()`` runs one
+    combinational sweep and stores every signal on the instance;
+    ``run(cycles)`` is the fused loop over :meth:`Schedule.walk`, returns
+    the edges it ran and leaves a fired stop's index in ``halted``.
+
+    ``value_probes`` histogram those signals on every edge inside the
+    fused loop (``hist_<i>``, the efficient cover-values of §6).
+    ``activity_gate`` is essent's option (§3.5): skip the combinational
+    sweep on edges whose inputs, registers and memories did not change
+    since the previous edge of the same ``run`` call, counting evaluated
+    and skipped edges in ``evals`` and ``skips``.
+    """
+    return _ScalarRenderer(Schedule(model), tuple(value_probes), activity_gate).render()
+
+
+class _ScalarRenderer:
+    """Emits ``GeneratedSim``; its walk methods emit one edge of ``run``."""
+
+    def __init__(self, schedule: Schedule, probes: tuple[str, ...], gate: bool) -> None:
+        self.schedule = schedule
+        self.probes = probes
+        self.gate = gate
+        self.b = CodeBuilder()
+        self.ids = schedule.ids
+        mem_ids = schedule.mem_ids
+        self.gen = lambda expr: gen_expr(expr, self.ids.__getitem__, mem_ids.__getitem__)
+
+    def render(self) -> str:
+        model, b, ids = self.schedule.model, self.b, self.ids
+        state = [ids[p.name] for p in model.inputs] + [ids[r.name] for r in model.registers]
+        mems = list(self.schedule.mem_ids.values())
+
+        def load() -> None:
+            for name in state + mems:
+                b.emit(f"{name} = self.{name}")
+
+        b.emit('"""Generated by repro.backends.pycodegen — do not edit."""')
+        for line in RUNTIME_HELPERS.strip().splitlines():
+            b.emit(line)
+        b.emit()
+        b.emit("class GeneratedSim:")
+        b.depth += 1
+        b.emit("def __init__(self):")
+        b.depth += 1
+        for name in state:
+            b.emit(f"self.{name} = 0")
+        for memory, name in zip(model.memories, mems):
+            b.emit(f"self.{name} = [0] * {memory.padded_depth}")
+        b.emit(f"self.counters = [0] * {len(self.schedule.slots)}")
+        for i in range(len(self.probes)):
+            b.emit(f"self.hist_{i} = {{}}")
+        b.emit("self.cycle = 0")
+        b.emit("self.halted = None")
+        if self.gate:
+            b.emit("self.evals = 0")
+            b.emit("self.skips = 0")
+        b.depth -= 1
+        b.emit()
+
+        b.emit("def settle(self):")
+        b.depth += 1
+        load()
+        for name, expr in model.comb:
+            b.emit(f"self.{ids[name]} = {ids[name]} = {self.gen(expr)}")
+        if not (state or mems or model.comb):
+            b.emit("pass")
+        b.depth -= 1
+        b.emit()
+
+        b.emit("def run(self, cycles):")
+        b.depth += 1
+        b.emit("cnt = self.counters")
+        for i in range(len(self.probes)):
+            b.emit(f"hist_{i} = self.hist_{i}")
+        load()
+        b.emit("halted = None")
+        if self.gate:
+            b.emit("prev_sig = None")
+            b.emit("mem_dirty = True")
+        b.emit("done = 0")
+        b.emit("for _ in range(cycles):")
+        b.depth += 1
+        if self.gate:
+            b.emit(f"sig = ({''.join(name + ', ' for name in state)})")
+            b.emit("if mem_dirty or sig != prev_sig:")
+            b.depth += 1
+        self.schedule.walk(self)
+        b.emit("done += 1")
+        if model.stops:
+            b.emit("if halted is not None: break")
+        b.depth -= 1
+        for reg in model.registers:
+            b.emit(f"self.{ids[reg.name]} = {ids[reg.name]}")
+        b.emit("self.halted = halted")
+        b.emit("self.cycle += done")
+        b.emit("return done")
+        return b.source()
+
+    # -- the edge, driven by Schedule.walk ------------------------------------
+
+    def assign(self, name: str, expr: Expr) -> None:
+        self.b.emit(f"{self.ids[name]} = {self.gen(expr)}")
+
+    def settled(self) -> None:
+        b = self.b
+        if self.gate:
+            b.emit("prev_sig = sig")
+            b.emit("mem_dirty = False")
+            b.emit("self.evals += 1")
+            b.depth -= 1
+            b.emit("else:")
+            b.emit("    self.skips += 1")
+        for i, probe in enumerate(self.probes):
+            b.emit(f"_v = {self.ids[probe]}")
+            b.emit(f"hist_{i}[_v] = hist_{i}.get(_v, 0) + 1")
+
+    def cover(self, slot: int, pred: Expr, en: Expr) -> None:
+        self.b.emit(f"if {predicate(self.gen, pred, en)}: cnt[{slot}] += 1")
+
+    def stop(self, index: int, pred: Expr, en: Expr) -> None:
+        keyword = "elif" if index else "if"
+        self.b.emit(f"{keyword} {predicate(self.gen, pred, en)}: halted = {index}")
+
+    def next(self, index: int, expr: Expr) -> None:
+        self.b.emit(f"n_{index} = {self.gen(expr)}")
+
+    def write(self, write) -> None:
+        addr = self.gen(write.addr)
+        guard = self.gen(write.en)
+        if write.bound is not None:
+            guard = f"{guard} and ({addr}) < {write.bound}"
+        self.b.emit(f"if {guard}:")
+        self.b.emit(f"    {write.mem_id}[{addr}] = {self.gen(write.data)}")
+        if self.gate:
+            self.b.emit("    mem_dirty = True")
+
+    def commit(self, index: int, name: str) -> None:
+        self.b.emit(f"{self.ids[name]} = n_{index}")
+
+
+class ScalarPlan:
+    """One rendered ``GeneratedSim`` class, exec'd once per process.
+
+    Memoized on the model-cache entry, so every simulation of the same
+    compiled model — cache hits and forks alike — shares the class.
+    ``build_seconds`` is the wall time the ``exec`` took.
+    """
+
+    __slots__ = ("schedule", "source", "probes", "cls", "build_seconds")
+
+    def __init__(self, schedule: Schedule, source: str, probes: tuple[str, ...] = ()) -> None:
+        started = time.perf_counter()
+        namespace: dict = {}
+        exec(compile(source, f"<generated {schedule.model.name}>", "exec"), namespace)
+        self.schedule = schedule
+        self.source = source
+        self.probes = probes
+        self.cls = namespace["GeneratedSim"]
+        self.build_seconds = time.perf_counter() - started
+
+
+# -- swarm (bit-parallel lane) emission ---------------------------------------
 
 #: ops with no packed lowering: per-lane products/quotients and data-dependent
 #: shifts genuinely need per-lane arithmetic, and ``xorr`` is a parity
@@ -352,15 +509,6 @@ class SwarmEmitter:
         w = bit_width(tpe)
         if is_signed(tpe) and w < width:
             return f"_sx({text}, {w - 1}, {mask(width) ^ mask(w)})"
-        return text
-
-    def fit(self, text: str, tpe, width: int) -> str:
-        """Packed analog of the scalar backends' register ``_fit``."""
-        w = bit_width(tpe)
-        if is_signed(tpe) and w < width:
-            return self.extend(text, tpe, width)
-        if w > width:
-            return f"({text} & {self.rep(mask(width))})"
         return text
 
     # -- expression emission ---------------------------------------------------

@@ -33,127 +33,155 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir.traversal import walk_expr
 from ..ir.types import bit_width, mask
-from ..runtime.telemetry import StepMeter, obs
+from ..runtime.telemetry import StepMeter
 from .api import CoverCounts, StepResult, metered_step, saturate
-from .model import CircuitModel, build_model
-from .modelcache import CacheEntry, ModelCache, compile_cached
+from .model import CircuitModel
+from .modelcache import ModelCache, compile_schedule
 from .pycodegen import (
     RUNTIME_HELPERS,
-    SWARM_EMITTER_VERSION,
     SWARM_RUNTIME_HELPERS,
     CodeBuilder,
     SwarmEmitter,
-    pynames,
 )
+from .schedule import Schedule
 
 #: lane-count bounds: 1 is the degenerate scalar case (still packed form),
 #: the ceiling keeps a single packed signal under ~0.5 Mbit on wide designs
 MAX_LANES = 4096
 
 
-def _model_exprs(model: CircuitModel):
-    """Every expression the generated code will evaluate."""
-    for _, expr in model.comb:
-        yield expr
-    for reg in model.registers:
-        yield reg.next
-        if reg.reset is not None:
-            yield reg.reset
-        if reg.init is not None:
-            yield reg.init
-    for cover in model.covers:
-        yield cover.pred
-        yield cover.en
-    for stop in model.stops:
-        yield stop.pred
-        yield stop.en
-    for memory in model.memories:
-        for write in memory.writes:
-            yield write.addr
-            yield write.data
-            yield write.en
-
-
 def lane_stride(model: CircuitModel) -> int:
     """The uniform per-lane stride for ``model``.
 
-    Max bit width over every signal *and every intermediate expression
-    node*, plus two spare bits: one absorbs SWAR carries (add/sub/compare
-    intermediates reach ``2**(w+1)``), one is the always-free lane top bit
-    the packed non-zero test carries into.
+    The schedule's widest value (every signal *and every intermediate
+    expression node*), plus two spare bits: one absorbs SWAR carries
+    (add/sub/compare intermediates reach ``2**(w+1)``), one is the
+    always-free lane top bit the packed non-zero test carries into.
     """
-    widest = 1
-    for width in model.widths.values():
-        widest = max(widest, width)
-    for memory in model.memories:
-        widest = max(widest, memory.width)
-    for expr in _model_exprs(model):
-        for node in walk_expr(expr):
-            widest = max(widest, bit_width(node.tpe))
-    return widest + 2
+    return Schedule(model).widest + 2
+
+
+class _LaneRenderer:
+    """Emits one packed edge of a swarm ``run`` loop from the schedule walk.
+
+    ``masked`` ANDs cover/stop/memory-write masks with the active-lane
+    set; the unmasked variant serves stop-free models, where ``active``
+    cannot change inside one ``run`` call — when every lane is live the
+    masking would be pure overhead (one extra wide-int op per cover per
+    cycle, the dominant cost on toggle-instrumented designs).
+    """
+
+    def __init__(self, schedule: Schedule, emitter: SwarmEmitter,
+                 body: CodeBuilder, masked: bool) -> None:
+        self.ids = schedule.ids
+        self.emitter = emitter
+        self.body = body
+        self.masked = masked
+
+    def assign(self, name, expr) -> None:
+        self.body.emit(f"{self.ids[name]} = {self.emitter.gen(expr)}")
+
+    def settled(self) -> None:
+        pass
+
+    def cover(self, slot, pred, en) -> None:
+        # the mask used for sampling is the mask at cycle start, so the
+        # cycle a lane stops on still counts, exactly like the scalar order
+        fire = self.emitter.predicate(pred, en)
+        if self.masked:
+            fire = f"{fire} & active"
+        self.body.emit(f"_m = {fire}")
+        self.body.emit(f"if _m: _vadd(c_{slot}, _m)")
+
+    def stop(self, index, pred, en) -> None:
+        # claim in statement order: a lane removed by an earlier stop is
+        # invisible to later ones, like the scalar if/elif chain
+        body = self.body
+        body.emit(f"_f = {self.emitter.predicate(pred, en)} & active")
+        body.emit("if _f:")
+        body.depth += 1
+        body.emit("active &= ~_f")
+        body.emit("while _f:")
+        body.depth += 1
+        body.emit("_b = _f & -_f")
+        body.emit("_i = (_b.bit_length() - 1) // _S")
+        body.emit(f"stop_lane[_i] = {index}")
+        body.emit("stop_cycle[_i] = base + done")
+        body.emit("_f ^= _b")
+        body.depth -= 2
+
+    def next(self, index, expr) -> None:
+        self.body.emit(f"n_{index} = {self.emitter.gen(expr)}")
+
+    def write(self, write) -> None:
+        body, gen = self.body, self.emitter.gen
+        en = gen(write.en)
+        body.emit(f"_e = {en} & active" if self.masked else f"_e = {en}")
+        body.emit("if _e:")
+        body.depth += 1
+        body.emit(f"_wa = {gen(write.addr)}")
+        body.emit(f"_wd = {gen(write.data)}")
+        body.emit("while _e:")
+        body.depth += 1
+        body.emit("_b = _e & -_e")
+        body.emit("_p = _b.bit_length() - 1")
+        body.emit(f"_a = (_wa >> _p) & {mask(bit_width(write.addr.tpe))}")
+        store = (
+            f"{write.mem_id}[_p // _S][_a] = "
+            f"(_wd >> _p) & {mask(write.memory.width)}"
+        )
+        if write.bound is not None:
+            body.emit(f"if _a < {write.bound}: {store}")
+        else:
+            body.emit(store)
+        body.emit("_e ^= _b")
+        body.depth -= 2
+
+    def commit(self, index, name) -> None:
+        self.body.emit(f"{self.ids[name]} = n_{index}")
 
 
 def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
-    """Generate the packed ``settle``/``run`` module for ``model``.
+    """Render the packed ``settle``/``run`` module for ``model``.
 
-    Mirrors the treadle JIT's fused ``run`` loop — same evaluation order
-    (settle, covers, stops, register/memory commit), same state-dict ABI —
-    except every value is a packed integer, cover counters are vertical
-    plane lists, and a ``ctl`` dict carries the active-lane mask plus
-    per-lane stop bookkeeping across calls.
+    The same :meth:`Schedule.walk` as the scalar renderer — settle,
+    covers, stops, register/memory commit — except every value is a
+    packed integer, cover counters are vertical plane lists indexed by
+    slot, and a ``ctl`` dict carries the active-lane mask plus per-lane
+    stop bookkeeping across calls.
     """
-    stride = lane_stride(model)
-    all_names = (
-        [p.name for p in model.inputs]
-        + [r.name for r in model.registers]
-        + [name for name, _ in model.comb]
-    )
-    py = pynames(all_names)
-    mems = {m.name: f"m_{i}" for i, m in enumerate(model.memories)}
-    emitter = SwarmEmitter(lanes, stride, lambda n: py[n], lambda n: mems[n])
-    gen = emitter.gen
-
-    state_names = [p.name for p in model.inputs] + [
-        r.name for r in model.registers
-    ]
-
+    schedule = Schedule(model)
+    ids, mem_ids = schedule.ids, schedule.mem_ids
+    stride = schedule.widest + 2
+    emitter = SwarmEmitter(lanes, stride, ids.__getitem__, mem_ids.__getitem__)
+    state = [p.name for p in model.inputs] + [r.name for r in model.registers]
     body = CodeBuilder()
 
-    def load(names: list[str]) -> None:
-        for name in names:
-            body.emit(f"{py[name]} = values[{name!r}]")
-        for memory in model.memories:
-            body.emit(f"{mems[memory.name]} = mems[{memory.name!r}]")
+    def load() -> None:
+        for name in state:
+            body.emit(f"{ids[name]} = values[{name!r}]")
+        for name, mem_id in mem_ids.items():
+            body.emit(f"{mem_id} = mems[{name!r}]")
 
     # -- settle: one combinational sweep, written back into `values` --------
     body.emit("def settle(values, mems):")
     body.depth += 1
-    load(state_names)
+    load()
     for name, expr in model.comb:
-        body.emit(f"{py[name]} = {gen(expr)}")
-        body.emit(f"values[{name!r}] = {py[name]}")
-    if not (state_names or model.comb or model.memories):
+        body.emit(f"{ids[name]} = {emitter.gen(expr)}")
+        body.emit(f"values[{name!r}] = {ids[name]}")
+    if not (state or model.comb or model.memories):
         body.emit("pass")
     body.depth -= 1
     body.emit()
 
     def emit_run(fname: str, masked: bool) -> None:
-        """The fused packed hot loop.
-
-        ``masked`` ANDs cover/stop/memory-write masks with the active-lane
-        set; the unmasked variant is emitted for stop-free models, where
-        ``active`` cannot change inside one ``run`` call — when every lane
-        is live the masking would be pure overhead (one extra wide-int op
-        per cover per cycle, the dominant cost on toggle-instrumented
-        designs).
-        """
         body.emit(f"def {fname}(values, mems, counts, ctl, cycles):")
         body.depth += 1
-        load(state_names)
-        for i, cover in enumerate(model.covers):
-            body.emit(f"c_{i} = counts[{cover.name!r}]")
+        load()
+        for slot in range(len(schedule.slots)):
+            body.emit(f"c_{slot} = counts[{slot}]")
         body.emit("active = ctl['active']")
         if model.stops:
             body.emit("stop_lane = ctl['stop_lane']")
@@ -164,77 +192,11 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
         body.depth += 1
         if masked:
             body.emit("if not active: break")
-        for name, expr in model.comb:
-            body.emit(f"{py[name]} = {gen(expr)}")
-        # covers first, then stops: the stop cycle's covers still count,
-        # and the mask used for sampling is the mask at cycle start —
-        # exactly the scalar order (sample, then check stops, then commit)
-        for i, cover in enumerate(model.covers):
-            fire = emitter.predicate(cover.pred, cover.en)
-            if masked:
-                fire = f"{fire} & active"
-            body.emit(f"_m = {fire}")
-            body.emit(f"if _m: _vadd(c_{i}, _m)")
-        for index, stop in enumerate(model.stops):
-            # claim in statement order: a lane removed by an earlier stop
-            # is invisible to later ones, like the scalar if/elif chain
-            body.emit(
-                f"_f = {emitter.predicate(stop.pred, stop.en)} & active"
-            )
-            body.emit("if _f:")
-            body.depth += 1
-            body.emit("active &= ~_f")
-            body.emit("while _f:")
-            body.depth += 1
-            body.emit("_b = _f & -_f")
-            body.emit("_i = (_b.bit_length() - 1) // _S")
-            body.emit(f"stop_lane[_i] = {index}")
-            body.emit("stop_cycle[_i] = base + done")
-            body.emit("_f ^= _b")
-            body.depth -= 2
-        for i, reg in enumerate(model.registers):
-            next_text = emitter.fit(gen(reg.next), reg.next.tpe, reg.width)
-            if reg.reset is not None and reg.init is not None:
-                init_text = emitter.fit(
-                    gen(reg.init), reg.init.tpe, reg.width
-                )
-                select = (
-                    f"_sel({gen(reg.reset)}, {init_text}, {next_text}, "
-                    f"{mask(reg.width)}, {emitter.rep(mask(reg.width))})"
-                )
-                body.emit(f"n_{i} = {select}")
-            else:
-                body.emit(f"n_{i} = {next_text}")
-        for memory in model.memories:
-            for write in memory.writes:
-                addr_mask = mask(bit_width(write.addr.tpe))
-                en = gen(write.en)
-                body.emit(f"_e = {en} & active" if masked else f"_e = {en}")
-                body.emit("if _e:")
-                body.depth += 1
-                body.emit(f"_wa = {gen(write.addr)}")
-                body.emit(f"_wd = {gen(write.data)}")
-                body.emit("while _e:")
-                body.depth += 1
-                body.emit("_b = _e & -_e")
-                body.emit("_p = _b.bit_length() - 1")
-                body.emit(f"_a = (_wa >> _p) & {addr_mask}")
-                store = (
-                    f"{mems[memory.name]}[_p // _S][_a] = "
-                    f"(_wd >> _p) & {mask(memory.width)}"
-                )
-                if memory.needs_write_guard:
-                    body.emit(f"if _a < {memory.depth}: {store}")
-                else:
-                    body.emit(store)
-                body.emit("_e ^= _b")
-                body.depth -= 2
-        for i, reg in enumerate(model.registers):
-            body.emit(f"{py[reg.name]} = n_{i}")
+        schedule.walk(_LaneRenderer(schedule, emitter, body, masked))
         body.emit("done += 1")
         body.depth -= 1
         for reg in model.registers:
-            body.emit(f"values[{reg.name!r}] = {py[reg.name]}")
+            body.emit(f"values[{reg.name!r}] = {ids[reg.name]}")
         body.emit("ctl['active'] = active")
         body.emit("ctl['cycle'] = base + done")
         body.emit("return done")
@@ -268,9 +230,10 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
 class _SwarmPlan:
     """The exec'd packed closures for one (model, lanes) pair."""
 
-    __slots__ = ("source", "settle", "run", "run_full", "lanes", "stride", "rep1")
+    __slots__ = ("schedule", "source", "settle", "run", "run_full", "lanes", "stride", "rep1")
 
-    def __init__(self, source: str) -> None:
+    def __init__(self, schedule: Schedule, source: str) -> None:
+        self.schedule = schedule
         self.source = source
         namespace: dict = {}
         exec(compile(source, "<generated-swarm>", "exec"), namespace)
@@ -293,14 +256,10 @@ class SwarmSimulation:
     — is what batch harnesses (the fuzzer) drive.
     """
 
-    def __init__(
-        self,
-        model: CircuitModel,
-        counter_width: Optional[int] = None,
-        plan: Optional[_SwarmPlan] = None,
-    ) -> None:
-        assert plan is not None
+    def __init__(self, plan: _SwarmPlan, counter_width: Optional[int] = None) -> None:
+        model = plan.schedule.model
         self._model = model
+        self._slots = plan.schedule.slots
         self._counter_width = counter_width
         self._plan = plan
         self.lanes = plan.lanes
@@ -311,10 +270,8 @@ class SwarmSimulation:
             m.name: [[0] * m.padded_depth for _ in range(self.lanes)]
             for m in model.memories
         }
-        #: vertical counters: cover name -> list of bit planes
-        self._counts: dict[str, list[int]] = {
-            c.name: [] for c in model.covers
-        }
+        #: vertical counters: per cover slot, a list of bit planes
+        self._counts: list[list[int]] = [[] for _ in self._slots]
         self._ctl: dict = {
             "active": plan.rep1,
             "cycle": 0,
@@ -342,9 +299,7 @@ class SwarmSimulation:
         return self.peek_lane(port, 0)
 
     def step(self, cycles: int = 1) -> StepResult:
-        return metered_step(
-            self._meter, lambda: self._step(cycles), lambda r: r.cycles
-        )
+        return metered_step(self._meter, lambda: self._step(cycles))
 
     def cover_counts(self, lane: int = 0) -> CoverCounts:
         """Saturated cover counts for one lane (lane 0 by default).
@@ -356,10 +311,10 @@ class SwarmSimulation:
         the campaign-wide view.
         """
         self._check_lane(lane)
-        slot = lane * self._stride
+        base = lane * self._stride
         return {
-            name: saturate(self._lane_count(planes, slot), self._counter_width)
-            for name, planes in self._counts.items()
+            name: saturate(self._lane_count(self._counts[slot], base), self._counter_width)
+            for name, slot in self._slots.items()
         }
 
     def merged_cover_counts(self) -> CoverCounts:
@@ -371,8 +326,8 @@ class SwarmSimulation:
         shards.
         """
         return {
-            name: self._aggregate(planes)
-            for name, planes in self._counts.items()
+            name: self._aggregate(self._counts[slot])
+            for name, slot in self._slots.items()
         }
 
     @property
@@ -387,7 +342,7 @@ class SwarmSimulation:
 
     def fork(self) -> "SwarmSimulation":
         """A fresh swarm of the same design (shares the compiled plan)."""
-        return SwarmSimulation(self._model, self._counter_width, self._plan)
+        return SwarmSimulation(self._plan, self._counter_width)
 
     # -- lane-addressed API ---------------------------------------------------
 
@@ -513,9 +468,9 @@ class SwarmBackend:
     is the classic swarm-testing sweet spot; anything up to
     :data:`MAX_LANES` works, larger packs amortize Python dispatch better
     until big-int arithmetic dominates).  ``cache`` overrides the
-    process-default model cache; the lane count and swarm emitter version
-    are part of the cache key, so differently-sized swarms never collide
-    with each other or with the scalar backends.
+    process-default model cache; the lane count is part of the cache key,
+    so differently-sized swarms never collide with each other or with the
+    scalar backends.
     """
 
     name = "swarm"
@@ -538,25 +493,14 @@ class SwarmBackend:
         return self._compile(state, counter_width)
 
     def _compile(self, circuit_or_state, counter_width) -> SwarmSimulation:
-        def build() -> CacheEntry:
-            with obs.span("compile", cat="compile", backend=self.name):
-                model = build_model(circuit_or_state)
-                source = generate_swarm_source(model, self.lanes)
-            return CacheEntry(
-                key="", backend=self.name, model=model, source=source
-            )
-
-        entry = compile_cached(
+        entry = compile_schedule(
             circuit_or_state,
             self.name,
-            build,
+            lambda model: generate_swarm_source(model, self.lanes),
             cache=self._cache,
-            options=(f"swarm{SWARM_EMITTER_VERSION}", f"lanes={self.lanes}"),
+            options=(f"lanes={self.lanes}",),
         )
         plan = entry.runtime.get("plan")
         if plan is None:
-            source = entry.source or generate_swarm_source(
-                entry.model, self.lanes
-            )
-            plan = entry.runtime["plan"] = _SwarmPlan(source)
-        return SwarmSimulation(entry.model, counter_width, plan=plan)
+            plan = entry.runtime["plan"] = _SwarmPlan(entry.runtime["schedule"], entry.source)
+        return SwarmSimulation(plan, counter_width)

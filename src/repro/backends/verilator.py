@@ -1,15 +1,18 @@
 """Verilator-like backend: compile the circuit to Python code (§3.2).
 
 Mirrors Verilator's role in the paper: the circuit is lowered, flattened
-and *compiled* — here to a single specialized Python module that is then
-``exec``'d — trading startup time for throughput.  Cover statements map to
-in-line counter increments, exactly like the SystemVerilog cover statements
-Verilator implements for the paper's flow.
+and *compiled* — here to a single specialized Python class, rendered by
+:func:`~repro.backends.pycodegen.render_python` and then ``exec``'d —
+trading startup time for throughput.  Cover statements map to in-line
+counter increments, exactly like the SystemVerilog cover statements
+Verilator implements for the paper's flow.  :class:`VerilatorSimulation`
+is the wrapper every scalar tier (treadle, essent, c) shares around its
+engine.
 
 The backend also reproduces two Verilator-specific artifacts:
 
-* a *built-in line coverage* mode (``native_line_coverage=True``) that
-  instruments internally, standing in for ``verilator --coverage-line``
+* a *built-in line coverage* mode (:meth:`VerilatorBackend.compile_with_native_coverage`)
+  that instruments internally, standing in for ``verilator --coverage-line``
   in the Figure-8 overhead comparison, and
 * the ``coverage.dat`` file format plus the converter that re-associates
   its entries with our canonical cover names (the paper's §3.2 converter,
@@ -20,243 +23,116 @@ from __future__ import annotations
 
 import io
 import re
-import time
+from functools import partial
 from typing import Optional
 
 from ..ir.nodes import Circuit
-from ..ir.types import mask
-from ..runtime.telemetry import StepMeter, obs
+from ..runtime.telemetry import StepMeter
 from .api import CoverCounts, StepResult, metered_step, saturate
-from .model import CircuitModel, build_model
-from .modelcache import CacheEntry, ModelCache, compile_cached
-from .pycodegen import RUNTIME_HELPERS, CodeBuilder, gen_expr, predicate, pynames
+from .modelcache import CacheEntry, ModelCache, compile_schedule
+from .pycodegen import ScalarPlan, render_python
+from .schedule import Schedule
 
 
-def generate_source(
-    model: CircuitModel,
-    counter_width: Optional[int],
-    value_probes: tuple[str, ...] = (),
-) -> str:
-    """Generate the specialized simulation module source for ``model``."""
-    all_names = (
-        [p.name for p in model.inputs]
-        + [r.name for r in model.registers]
-        + [name for name, _ in model.comb]
-    )
-    py = pynames(all_names)
-    mems = {m.name: f"m_{i}" for i, m in enumerate(model.memories)}
-
-    def ref(name: str) -> str:
-        return py[name]
-
-    def memref(name: str) -> str:
-        return mems[name]
-
-    def gen(expr) -> str:
-        return gen_expr(expr, ref, memref)
-
-    b = CodeBuilder()
-    b.emit('"""Generated by repro.backends.verilator — do not edit."""')
-    for line in RUNTIME_HELPERS.strip().splitlines():
-        b.emit(line)
-    b.emit()
-    b.emit("class GeneratedSim:")
-    b.depth += 1
-
-    # -- __init__ ------------------------------------------------------------
-    b.emit("def __init__(self):")
-    b.depth += 1
-    for port in model.inputs:
-        b.emit(f"self.{py[port.name]} = 0")
-    for reg in model.registers:
-        b.emit(f"self.{py[reg.name]} = 0")
-    for memory in model.memories:
-        b.emit(f"self.{mems[memory.name]} = [0] * {memory.padded_depth}")
-    b.emit(f"self.counters = [0] * {len(model.covers)}")
-    for i, _probe in enumerate(value_probes):
-        b.emit(f"self.hist_{i} = {{}}")
-    b.emit("self.cycle = 0")
-    b.emit("self.halted = None")
-    b.depth -= 1
-    b.emit()
-
-    def emit_comb(assign_outputs: bool) -> None:
-        for port in model.inputs:
-            b.emit(f"{py[port.name]} = self.{py[port.name]}")
-        for reg in model.registers:
-            b.emit(f"{py[reg.name]} = self.{py[reg.name]}")
-        for memory in model.memories:
-            b.emit(f"{mems[memory.name]} = self.{mems[memory.name]}")
-        for name, expr in model.comb:
-            b.emit(f"{py[name]} = {gen(expr)}")
-        if assign_outputs:
-            for port in model.outputs:
-                b.emit(f"self.o_{py[port.name]} = {py[port.name]}")
-
-    # -- _settle: combinational evaluation for peeks ----------------------------
-    b.emit("def settle(self):")
-    b.depth += 1
-    emit_comb(assign_outputs=True)
-    if not model.comb and not model.inputs and not model.registers:
-        b.emit("pass")
-    b.depth -= 1
-    b.emit()
-
-    # -- run(cycles) --------------------------------------------------------------
-    b.emit("def run(self, cycles):")
-    b.depth += 1
-    b.emit("cnt = self.counters")
-    for i, _probe in enumerate(value_probes):
-        b.emit(f"hist_{i} = self.hist_{i}")
-    b.emit("done = 0")
-    for port in model.inputs:
-        b.emit(f"{py[port.name]} = self.{py[port.name]}")
-    for reg in model.registers:
-        b.emit(f"{py[reg.name]} = self.{py[reg.name]}")
-    for memory in model.memories:
-        b.emit(f"{mems[memory.name]} = self.{mems[memory.name]}")
-    b.emit("for _ in range(cycles):")
-    b.depth += 1
-    for name, expr in model.comb:
-        b.emit(f"{py[name]} = {gen(expr)}")
-    # value probes: the efficient cover-values implementation (§6)
-    for i, probe in enumerate(value_probes):
-        b.emit(f"_v = {py[probe]}")
-        b.emit(f"hist_{i}[_v] = hist_{i}.get(_v, 0) + 1")
-    # covers
-    sat = None if counter_width is None else (1 << counter_width) - 1
-    for index, cover in enumerate(model.covers):
-        cond = predicate(gen, cover.pred, cover.en)
-        b.emit(f"if {cond}:")
-        b.depth += 1
-        if sat is None:
-            b.emit(f"cnt[{index}] += 1")
-        else:
-            b.emit(f"_n = cnt[{index}] + 1")
-            b.emit(f"if _n <= {sat}: cnt[{index}] = _n")
-        b.depth -= 1
-    # stops
-    stop_commit = False
-    for index, stop in enumerate(model.stops):
-        cond = predicate(gen, stop.pred, stop.en)
-        b.emit(f"if {cond}: self.halted = {index}")
-        stop_commit = True
-    # register next values
-    for i, reg in enumerate(model.registers):
-        next_text = gen(reg.next)
-        if reg.reset is not None and reg.init is not None:
-            b.emit(f"n_{i} = {gen(reg.init)} if {gen(reg.reset)} else {next_text}")
-        else:
-            b.emit(f"n_{i} = {next_text}")
-    # memory writes
-    for memory in model.memories:
-        for write in memory.writes:
-            addr = gen(write.addr)
-            data = gen(write.data)
-            en = gen(write.en)
-            guard = f"{en} and ({addr}) < {memory.depth}" if memory.needs_write_guard else en
-            b.emit(f"if {guard}: {mems[memory.name]}[{addr}] = {data}")
-    # commit
-    for i, reg in enumerate(model.registers):
-        b.emit(f"{py[reg.name]} = n_{i}")
-    b.emit("done += 1")
-    if stop_commit:
-        b.emit("if self.halted is not None: break")
-    b.depth -= 1
-    # write back state
-    for reg in model.registers:
-        b.emit(f"self.{py[reg.name]} = {py[reg.name]}")
-    b.emit("self.cycle += done")
-    b.emit("return done")
-    b.depth -= 1
-    b.depth -= 1
-    return b.source()
+def scalar_plan(entry: CacheEntry, probes: tuple[str, ...] = ()) -> ScalarPlan:
+    """The entry's exec'd ``GeneratedSim``, built on first use per process."""
+    plan = entry.runtime.get("plan")
+    if plan is None:
+        plan = entry.runtime["plan"] = ScalarPlan(
+            entry.runtime["schedule"], entry.source, probes
+        )
+    return plan
 
 
 class VerilatorSimulation:
-    """Wrapper implementing the standard Simulation protocol."""
+    """The scalar simulation: one engine instance behind the protocol.
 
-    #: backend label used for spans/meters; essent overrides via subclassing
+    The engine is an instance of the plan's ``GeneratedSim`` class
+    (:func:`~repro.backends.pycodegen.render_python`).  Treadle, essent
+    and c reuse this wrapper — treadle's reference interpreter and c's
+    native state are engines with the same interface — so pokes, peeks,
+    stops, value probes, saturation and forks behave the same on every
+    scalar tier.  ``plan`` is what each engine is made from: a
+    :class:`~repro.backends.pycodegen.ScalarPlan` here, the loaded
+    library for c, None for the interpreter.
+    """
+
+    #: backend label used for spans/meters
     backend_name = "verilator"
 
     def __init__(
         self,
-        model: CircuitModel,
+        schedule: Schedule,
         counter_width: Optional[int] = None,
-        value_probes: tuple[str, ...] = (),
-        *,
-        entry: Optional[CacheEntry] = None,
+        plan=None,
     ) -> None:
-        self._model = model
+        self._schedule = schedule
         self._counter_width = counter_width
-        self._value_probes = tuple(value_probes)
-        started = time.perf_counter()
-        cls = entry.runtime.get("cls") if entry is not None else None
-        if cls is None:
-            source = entry.source if entry is not None else None
-            if source is None:
-                with obs.span("compile", cat="compile", backend=self.backend_name,
-                              design=model.name):
-                    source = self._generate(model, counter_width, self._value_probes)
-            self.source = source
-            namespace: dict = {}
-            exec(compile(source, f"<generated {model.name}>", "exec"), namespace)
-            cls = namespace["GeneratedSim"]
-            if entry is not None:
-                # memoized per process: forks and later cache hits skip exec
-                entry.runtime["cls"] = cls
-        else:
-            self.source = entry.source
-        self._sim = cls()
-        self.build_seconds = time.perf_counter() - started
-        self._py = pynames(
-            [p.name for p in model.inputs]
-            + [r.name for r in model.registers]
-            + [name for name, _ in model.comb]
-        )
-        self._inputs = {p.name for p in model.inputs}
-        self._outputs = {p.name for p in model.outputs}
-        self._widths = model.widths
+        self._plan = plan
+        self._sim, self._state, self._keys = self._new_engine()
+        self._input_masks = schedule.input_masks
+        self._ports = schedule.ports
+        self._watched: dict[str, dict[int, int]] = {}
         self._dirty = True
         self._meter = StepMeter(self.backend_name)
 
-    @staticmethod
-    def _generate(model, counter_width, value_probes) -> str:
-        return generate_source(model, counter_width, value_probes)
+    def _new_engine(self):
+        """A fresh engine, the dict holding its signal values, and their keys."""
+        sim = self._plan.cls()
+        return sim, vars(sim), self._schedule.ids
 
     def poke(self, port: str, value: int) -> None:
-        if port not in self._inputs:
+        bits = self._input_masks.get(port)
+        if bits is None:
             raise KeyError(f"no such input port: {port}")
-        setattr(self._sim, self._py[port], value & mask(self._widths[port]))
+        self._state[self._keys[port]] = value & bits
         self._dirty = True
 
     def peek(self, port: str) -> int:
-        if port in self._inputs:
-            return getattr(self._sim, self._py[port])
-        if port not in self._outputs:
+        if port not in self._ports:
             raise KeyError(f"no such port: {port}")
-        if self._dirty:
-            self._sim.settle()
-            self._dirty = False
-        return getattr(self._sim, "o_" + self._py[port])
+        return self._read(port)
+
+    def peek_internal(self, name: str) -> int:
+        """Debug access to any internal signal."""
+        if name not in self._keys:
+            raise KeyError(f"no such signal: {name}")
+        return self._read(name)
 
     def step(self, cycles: int = 1) -> StepResult:
-        if self._sim.halted is not None:
-            stop = self._model.stops[self._sim.halted]
-            return StepResult(0, True, stop.name, stop.exit_code)
-        done = metered_step(self._meter, lambda: self._sim.run(cycles))
-        self._dirty = True
-        if self._sim.halted is not None:
-            stop = self._model.stops[self._sim.halted]
-            return StepResult(done, True, stop.name, stop.exit_code)
-        return StepResult(done)
+        return metered_step(self._meter, lambda: self._step(cycles))
 
     def cover_counts(self) -> CoverCounts:
-        counters = self._sim.counters
+        counters, width = self._sim.counters, self._counter_width
         return {
-            cover.name: saturate(counters[i], self._counter_width)
-            for i, cover in enumerate(self._model.covers)
+            name: saturate(counters[slot], width)
+            for name, slot in self._schedule.slots.items()
         }
+
+    def watch_values(self, signal: str) -> None:
+        """Efficient ``cover-values``: histogram a signal's value per cycle.
+
+        The §6 alternative to exponential per-value cover statements —
+        implemented "in software by indexing into an array of counters".
+        Watching at run time steps one edge at a time; compile-time
+        ``value_probes`` keep the fused loop.
+        """
+        if signal not in self._keys:
+            raise KeyError(f"no such signal: {signal}")
+        self._watched.setdefault(signal, {})
+
+    def value_histogram(self, signal: str) -> dict[int, int]:
+        """Snapshot of a probed signal's value -> occurrences histogram.
+
+        Raises ``KeyError`` for a signal neither watched nor compiled in
+        as a value probe.
+        """
+        if signal in self._watched:
+            return dict(self._watched[signal])
+        probes = getattr(self._plan, "probes", ())
+        if signal not in probes:
+            raise KeyError(f"no value probe on {signal}")
+        return dict(getattr(self._sim, f"hist_{probes.index(signal)}"))
 
     @property
     def cycle(self) -> int:
@@ -268,19 +144,50 @@ class VerilatorSimulation:
         """Whether a stop statement has halted this simulation."""
         return self._sim.halted is not None
 
-    def value_histogram(self, signal: str) -> dict[int, int]:
-        """Histogram from a value probe (efficient cover-values, §6)."""
-        index = self._value_probes.index(signal)
-        return dict(getattr(self._sim, f"hist_{index}"))
+    @property
+    def source(self) -> str:
+        """The generated module source this simulation runs."""
+        return self._plan.source
+
+    @property
+    def build_seconds(self) -> float:
+        """Wall time spent loading the generated class (``exec``)."""
+        return self._plan.build_seconds
 
     def fork(self) -> "VerilatorSimulation":
         """A fresh simulation of the same design, skipping recompilation."""
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone._sim = type(self._sim)()
-        clone._dirty = True
-        clone._meter = StepMeter(self.backend_name)
-        return clone
+        return type(self)(self._schedule, self._counter_width, self._plan)
+
+    # -- internals -------------------------------------------------------------
+
+    def _read(self, name: str) -> int:
+        if self._dirty and name not in self._input_masks:
+            self._sim.settle()
+            self._dirty = False
+        return self._state[self._keys[name]]
+
+    def _step(self, cycles: int) -> StepResult:
+        sim = self._sim
+        done = 0
+        if cycles > 0 and sim.halted is None:
+            done = self._run_watched(cycles) if self._watched else sim.run(cycles)
+            self._dirty = True
+        if cycles <= 0 or sim.halted is None:
+            return StepResult(done)
+        stop = self._schedule.model.stops[sim.halted]
+        return StepResult(done, True, stop.name, stop.exit_code)
+
+    def _run_watched(self, cycles: int) -> int:
+        """One edge at a time, histogramming the settled pre-edge values."""
+        sim, state, keys = self._sim, self._state, self._keys
+        done = 0
+        while done < cycles and sim.halted is None:
+            sim.settle()
+            for signal, histogram in self._watched.items():
+                value = state[keys[signal]]
+                histogram[value] = histogram.get(value, 0) + 1
+            done += sim.run(1)
+        return done
 
 
 class VerilatorBackend:
@@ -288,6 +195,8 @@ class VerilatorBackend:
 
     name = "verilator"
     simulation_cls = VerilatorSimulation
+    #: essent's option: skip the comb sweep on edges with unchanged state
+    activity_gate = False
 
     def __init__(self, cache: Optional[ModelCache] = None) -> None:
         self._cache = cache
@@ -308,25 +217,17 @@ class VerilatorBackend:
     ) -> VerilatorSimulation:
         return self._compile(state, counter_width, value_probes)
 
-    def _compile(self, circuit_or_state, counter_width, value_probes):
+    def _compile(self, circuit_or_state, counter_width, value_probes=()):
         probes = tuple(value_probes)
-        cls = self.simulation_cls
-
-        def build() -> CacheEntry:
-            with obs.span("compile", cat="compile", backend=self.name):
-                model = build_model(circuit_or_state)
-                source = cls._generate(model, counter_width, probes)
-            return CacheEntry(key="", backend=self.name, model=model, source=source)
-
-        entry = compile_cached(
-            circuit_or_state,
-            self.name,
-            build,
-            cache=self._cache,
-            counter_width=counter_width,
-            options=probes,
+        render = partial(
+            render_python, value_probes=probes, activity_gate=self.activity_gate
         )
-        return cls(entry.model, counter_width, probes, entry=entry)
+        entry = compile_schedule(
+            circuit_or_state, self.name, render, cache=self._cache, options=probes
+        )
+        return self.simulation_cls(
+            entry.runtime["schedule"], counter_width, scalar_plan(entry, probes)
+        )
 
     def compile_with_native_coverage(
         self, circuit: Circuit, counter_width: Optional[int] = None
@@ -340,8 +241,7 @@ class VerilatorBackend:
         from ..coverage import instrument
 
         state, db = instrument(circuit, metrics=["line"])
-        sim = VerilatorSimulation(build_model(state), counter_width)
-        return sim, db
+        return self.compile_state(state, counter_width), db
 
 
 # -- the Verilator coverage.dat format and converter (§3.2) ---------------------
