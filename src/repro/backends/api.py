@@ -239,6 +239,21 @@ def metered_step(meter, run: Callable[[], StepResult]) -> StepResult:
     return result
 
 
+def hold_reset(sim: Simulation, cycles: int) -> None:
+    """Hold ``reset`` high for ``cycles`` clock edges, then release it.
+
+    The one reset prologue every run loop shares (the executor's attempt
+    loop, the process worker, :func:`reset_and_run`).  Designs without a
+    top-level ``reset`` port, and ``cycles == 0``, skip it.  Probing the
+    port settles the design once (see :func:`has_port`); anything the
+    underlying ``poke``/``step`` raises propagates.
+    """
+    if cycles and has_port(sim, "reset"):
+        sim.poke("reset", 1)
+        sim.step(cycles)
+        sim.poke("reset", 0)
+
+
 def reset_and_run(sim: Simulation, cycles: int, reset_cycles: int = 1) -> StepResult:
     """Common harness helper: hold reset (if the design has one), then run.
 
@@ -251,10 +266,7 @@ def reset_and_run(sim: Simulation, cycles: int, reset_cycles: int = 1) -> StepRe
         raise ValueError(f"cycles must be positive, got {cycles}")
     if reset_cycles < 0:
         raise ValueError(f"reset_cycles must be non-negative, got {reset_cycles}")
-    if reset_cycles and has_port(sim, "reset"):
-        sim.poke("reset", 1)
-        sim.step(reset_cycles)
-        sim.poke("reset", 0)
+    hold_reset(sim, reset_cycles)
     return sim.step(cycles)
 
 

@@ -15,7 +15,7 @@ stepped through :class:`SwarmSimulation`'s ``poke_lane``/``peek_lane``/
 ``cover_counts(lane)`` behaves like one :class:`TreadleSimulation` fed the
 same stimulus, including stop statements (each lane latches the first stop
 that fires for it and leaves the active set) and counter saturation
-(clamped at read time).  The aggregate ``cover_counts()`` is the
+(clamped at read time).  The aggregate ``merged_cover_counts()`` is the
 :func:`~repro.coverage.common.merge_counts` of all lanes.
 
 Two per-lane caveats, documented rather than papered over:
@@ -250,10 +250,10 @@ class SwarmSimulation:
 
     The scalar :class:`~repro.backends.api.Simulation` protocol applies
     with broadcast semantics: ``poke`` drives every lane, ``peek`` samples
-    lane 0, ``cover_counts()`` returns the lane-merged aggregate.  The
-    lane-addressed surface — ``poke_lane``/``poke_lanes``/``peek_lane``/
-    ``cover_counts(lane)``/``retire_lane``/``lane_active``/``lane_stop``
-    — is what batch harnesses (the fuzzer) drive.
+    lane 0, ``cover_counts()`` reads lane 0.  The lane-addressed surface
+    — ``poke_lane``/``poke_lanes``/``peek_lane``/``cover_counts(lane)``/
+    ``merged_cover_counts``/``retire_lane``/``lane_active``/``lane_stop``
+    — is what batch harnesses (the fuzzer, a swarm campaign job) drive.
     """
 
     def __init__(self, plan: _SwarmPlan, counter_width: Optional[int] = None) -> None:

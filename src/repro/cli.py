@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
 from .coverage import (
     CoverageDB,
     InstanceTree,
-    all_cover_names,
     apply_exclusions,
     counts_from_json,
     counts_to_json,
@@ -213,24 +211,6 @@ def cmd_instrument(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_executor(args, checkpointer):
-    from .runtime import BreakerBoard, Executor
-
-    breaker = None
-    if args.breaker_threshold:
-        breaker = BreakerBoard(failure_threshold=args.breaker_threshold)
-    return Executor(
-        timeout=args.timeout,
-        retries=args.retries,
-        checkpointer=checkpointer,
-        seed=args.seed,
-        isolation=args.isolation,
-        mem_limit_mb=args.mem_limit,
-        cpu_limit_s=args.cpu_limit,
-        breaker=breaker,
-    )
-
-
 def _write_observability(args) -> None:
     """Flush the trace/metrics files a ``simulate`` run asked for."""
     from .runtime import obs
@@ -269,207 +249,139 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             obs.disable()
 
 
-def _simulate(args: argparse.Namespace) -> int:
+def _backend(args: argparse.Namespace, name: str):
+    """The backend ``name`` as configured by ``--no-jit`` and ``--lanes``."""
     from .backends import BACKENDS
-    from .runtime import Checkpointer, DifferentialRunner, RunJob
 
-    circuit = _load(args.circuit)
-    min_db = None
-    if args.min_instrument:
-        # count only the minimal basis; the shards, checkpoint files, and
-        # backend counters all carry fewer counters, and the recipes
-        # rebuild the full counts (bit-identical) before anything is
-        # written out
-        from .analysis.implication import minimize_circuit
+    if name == "treadle" and args.no_jit:
+        return BACKENDS[name](jit=False)
+    if name == "swarm":
+        return BACKENDS[name](lanes=args.lanes)
+    return BACKENDS[name]()
 
-        min_state, min_db = minimize_circuit(circuit)
-        circuit = min_state.circuit
 
-    def reconstruct(counts):
-        if min_db is None:
-            return counts
-        return min_db.reconstruct_counts(
-            counts, InstanceTree(circuit), counter_width=args.counter_width
-        )
+def _simulate(args: argparse.Namespace) -> int:
+    """Build the campaign spec and run it the way ``repro serve`` does."""
+    from .runtime import BreakerBoard, Checkpointer
+    from .runtime.service import CampaignSpec, execute_spec
 
-    inputs = [
-        p.name
-        for p in circuit.top.inputs
-        if p.name not in ("clock", "reset")
-    ]
-    widths = {p.name: getattr(p.type, "width", 1) for p in circuit.top.inputs}
-    rng = random.Random(args.seed)
-
-    def stimulus(sim, cycle):
-        if args.random_inputs:
-            for name in inputs:
-                sim.poke(name, rng.getrandbits(widths.get(name, 1) or 1))
-
-    def make_sim_for(backend_name):
-        if backend_name == "treadle" and args.no_jit:
-            backend = BACKENDS[backend_name](jit=False)
-        else:
-            backend = BACKENDS[backend_name]()
-
-        def make_sim():
-            rng.seed(args.seed)  # each attempt replays the same stimulus
-            return backend.compile(circuit, counter_width=args.counter_width)
-
-        return make_sim
-
-    def warm_cache(factories):
-        # Compile once in the parent before any fork: the workers inherit
-        # the warm in-process cache copy-on-write, so every shard of the
-        # campaign skips its own compile (exactly one per circuit/backend).
-        from .backends import default_cache
-
-        if args.isolation == "process" and default_cache() is not None:
-            for factory in factories:
-                factory()
-
-    if args.backend == "swarm" and not args.differential:
-        return _simulate_swarm(args, circuit, inputs, widths, reconstruct)
-
+    spec = CampaignSpec(
+        tenant="",
+        circuit=Path(args.circuit).read_text(),
+        backend=args.backend,
+        cycles=args.cycles,
+        seed=args.seed,
+        random_inputs=args.random_inputs,
+        reset_cycles=args.reset_cycles,
+        counter_width=args.counter_width,
+        checkpoint_every=args.checkpoint_every,
+        min_instrument=args.min_instrument,
+    )
     checkpointer = None
     if args.checkpoint_every or args.resume or args.shard_dir:
         shard_dir = args.shard_dir or (args.circuit + ".shards")
-        checkpointer = Checkpointer(Path(shard_dir), every=args.checkpoint_every or 0)
-    executor = _make_executor(args, checkpointer)
-    names = all_cover_names(circuit)
-
-    if args.differential:
-        backends = [b.strip() for b in args.differential.split(",") if b.strip()]
-        unknown = sorted(set(backends) - set(BACKENDS))
-        if len(backends) < 2 or unknown:
-            print(
-                f"--differential needs >= 2 known backends "
-                f"(unknown: {', '.join(unknown) or 'none'})",
-                file=sys.stderr,
-            )
-            return 2
-        runner = DifferentialRunner(executor)
-        leg_factories = {b: make_sim_for(b) for b in backends}
-        warm_cache(leg_factories.values())
-        min_tag = "-min" if args.min_instrument else ""
-        diff = runner.run(
-            job_id=f"{Path(args.circuit).stem}-s{args.seed}{min_tag}",
-            make_sims=leg_factories,
-            cycles=args.cycles,
-            stimulus=stimulus,
-            reset_cycles=args.reset_cycles,
-            known_names=names,
-            counter_width=args.counter_width,
-        )
-        if not diff.agreed:
-            print(diff.report.format(), file=sys.stderr)
-        if not diff.quarantine.clean:
-            print(diff.quarantine.format(), file=sys.stderr)
-        if not diff.merged:
-            print("no quorum on any cover; refusing to write counts",
-                  file=sys.stderr)
-            return 1
-        counts = reconstruct(diff.merged)
-        if args.merge_with:
-            counts = merge_counts(
-                counts,
-                counts_from_json(Path(args.merge_with).read_text(),
-                                 source=args.merge_with),
-            )
-        _write(counts_to_json(counts) + "\n", args.counts)
-        covered = sum(1 for c in counts.values() if c)
-        print(
-            f"differential over {', '.join(backends)} "
-            f"({len(diff.report.voters)} voting): "
-            f"{covered}/{len(counts)} points covered"
-        )
-        return 0
-
+        checkpointer = Checkpointer(Path(shard_dir), every=args.checkpoint_every)
+    executor_options = dict(
+        timeout=args.timeout,
+        retries=args.retries,
+        isolation=args.isolation,
+        seed=args.seed,
+        mem_limit_mb=args.mem_limit,
+        cpu_limit_s=args.cpu_limit,
+        breaker=(BreakerBoard(failure_threshold=args.breaker_threshold)
+                 if args.breaker_threshold else None),
+    )
     min_tag = "-min" if args.min_instrument else ""
-    job = RunJob(
-        job_id=f"{Path(args.circuit).stem}-{args.backend}-s{args.seed}{min_tag}",
-        backend_name=args.backend,
-        make_sim=make_sim_for(args.backend),
-        cycles=args.cycles,
-        stimulus=stimulus,
-        reset_cycles=args.reset_cycles,
-    )
-    warm_cache([job.make_sim])
-    result = executor.run_campaign(
-        [job],
-        known_names=names,
-        counter_width=args.counter_width,
+    if args.differential:
+        return _simulate_differential(
+            args, spec, checkpointer, executor_options,
+            f"{Path(args.circuit).stem}-s{args.seed}{min_tag}",
+        )
+    try:
+        backend = _backend(args, args.backend)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    # the lane count is part of the job id: a swarm shard of another
+    # --lanes must never be resumed into this one
+    tag = f"swarm{args.lanes}" if args.backend == "swarm" else args.backend
+    outcome = execute_spec(
+        spec,
+        f"{Path(args.circuit).stem}-{tag}-s{args.seed}{min_tag}",
+        checkpointer,
+        backend=backend,
         resume=args.resume,
+        **executor_options,
     )
+    result = outcome.result
     for failure in result.failures:
         print(failure.format(), file=sys.stderr)
     if not result.quarantine.clean:
         print(result.quarantine.format(), file=sys.stderr)
-    outcome = result.outcomes[0]
-    if not outcome.contributed:
-        print(f"job failed after {outcome.attempts} attempt(s); no counts recovered",
-              file=sys.stderr)
+    if outcome.counts is None:
+        print(f"no counts recovered after {outcome.attempts} attempt(s); "
+              "refusing to write counts", file=sys.stderr)
         return 1
-    if not result.quarantine.merged_job_ids:
-        # The job ran, but its shard failed validation (corrupted counts):
-        # writing an empty counts file and exiting 0 would launder the
-        # corruption into "0 points covered".
-        print("every shard was quarantined; refusing to write counts",
-              file=sys.stderr)
-        return 1
-    counts = reconstruct(result.merged)
-    if args.merge_with:
-        counts = merge_counts(
-            counts,
-            counts_from_json(Path(args.merge_with).read_text(),
-                             source=args.merge_with),
-        )
-    _write(counts_to_json(counts) + "\n", args.counts)
-    covered = sum(1 for c in counts.values() if c)
-    print(
-        f"simulated {outcome.cycles_run} cycles ({outcome.status}): "
-        f"{covered}/{len(counts)} points covered"
+    job = result.outcomes[0]
+    lanes = f" x {args.lanes} lanes" if args.backend == "swarm" else ""
+    return _write_counts(
+        args, outcome.counts,
+        f"simulated {job.cycles_run} cycles{lanes} ({job.status})",
     )
-    return 0
 
 
-def _simulate_swarm(args, circuit, inputs, widths, reconstruct) -> int:
-    """``--backend swarm``: N independently-seeded lanes in one process.
+def _simulate_differential(args, spec, checkpointer, executor_options,
+                           job_id: str) -> int:
+    """``--differential``: the same prepared campaign on every listed backend."""
+    from .backends import BACKENDS
+    from .runtime import DifferentialRunner, Executor
+    from .runtime.service import PreparedCampaign
 
-    Lane *l* replays the stimulus stream of ``--seed`` + *l*, so a swarm
-    run is exactly ``--lanes`` scalar campaigns merged — the counts file
-    it writes follows :func:`merge_counts` semantics and can be merged
-    onward with scalar shards.
-    """
-    from .backends.swarm import SwarmBackend
-
+    backends = [b.strip() for b in args.differential.split(",") if b.strip()]
+    unknown = sorted(set(backends) - set(BACKENDS))
+    if len(backends) < 2 or unknown:
+        print(
+            f"--differential needs >= 2 known backends "
+            f"(unknown: {', '.join(unknown) or 'none'})",
+            file=sys.stderr,
+        )
+        return 2
+    plan = PreparedCampaign(spec)
     try:
-        backend = SwarmBackend(lanes=args.lanes)
+        legs = {b: plan.make_sim(_backend(args, b)) for b in backends}
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    sim = backend.compile(circuit, counter_width=args.counter_width)
-    if args.reset_cycles and "reset" in {p.name for p in circuit.top.inputs}:
-        sim.poke("reset", 1)
-        sim.step(args.reset_cycles)
-        sim.poke("reset", 0)
-    if args.random_inputs:
-        rngs = [
-            random.Random(args.seed + lane) for lane in range(args.lanes)
-        ]
-        cycles_run = 0
-        for _ in range(args.cycles):
-            for name in inputs:
-                width = widths.get(name, 1) or 1
-                sim.poke_lanes(
-                    name, [rng.getrandbits(width) for rng in rngs]
-                )
-            result = sim.step(1)
-            cycles_run += result.cycles
-            if result.stopped:
-                break
-    else:
-        cycles_run = sim.step(args.cycles).cycles
-    counts = reconstruct(sim.merged_cover_counts())
+    plan.warm(legs.values(), args.isolation)
+    runner = DifferentialRunner(
+        Executor(checkpointer=checkpointer, **executor_options)
+    )
+    diff = runner.run(
+        job_id=job_id,
+        make_sims=legs,
+        cycles=spec.cycles,
+        stimulus=plan.stimulus(),
+        reset_cycles=spec.reset_cycles,
+        known_names=plan.names,
+        counter_width=spec.counter_width,
+    )
+    if not diff.agreed:
+        print(diff.report.format(), file=sys.stderr)
+    if not diff.quarantine.clean:
+        print(diff.quarantine.format(), file=sys.stderr)
+    if not diff.merged:
+        print("no quorum on any cover; refusing to write counts",
+              file=sys.stderr)
+        return 1
+    return _write_counts(
+        args, plan.reconstruct(diff.merged),
+        f"differential over {', '.join(backends)} "
+        f"({len(diff.report.voters)} voting)",
+    )
+
+
+def _write_counts(args, counts, summary: str) -> int:
+    """Merge with ``--merge-with``, write ``--counts``, print the summary."""
     if args.merge_with:
         counts = merge_counts(
             counts,
@@ -478,11 +390,7 @@ def _simulate_swarm(args, circuit, inputs, widths, reconstruct) -> int:
         )
     _write(counts_to_json(counts) + "\n", args.counts)
     covered = sum(1 for c in counts.values() if c)
-    print(
-        f"simulated {cycles_run} cycles x {args.lanes} lanes "
-        f"({cycles_run * args.lanes} lane-cycles): "
-        f"{covered}/{len(counts)} points covered"
-    )
+    print(f"{summary}: {covered}/{len(counts)} points covered")
     return 0
 
 

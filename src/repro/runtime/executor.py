@@ -18,9 +18,9 @@ BreakerBoard`, a backend that keeps failing gets its remaining jobs
 * **bounded retries** — up to ``retries`` extra attempts per job, with
   exponential backoff plus seeded jitter between attempts; every attempt
   gets a *fresh* simulation from the job's factory,
-* **checkpoints** — live ``cover_counts()`` snapshots every K cycles via a
-  :class:`~repro.runtime.checkpoint.Checkpointer`, so a job that dies
-  mid-run still contributes its last-good counts, and
+* **checkpoints** — live count snapshots (``RunJob.read_counts``) every
+  K cycles via a :class:`~repro.runtime.checkpoint.Checkpointer`, so a
+  job that dies mid-run still contributes its last-good counts, and
 * **validated merge with quarantine** — shards are checked against the
   cover namespace before merging; corrupt shards land in the
   :class:`~repro.runtime.validate.QuarantineReport` instead of the merge.
@@ -29,6 +29,7 @@ BreakerBoard`, a backend that keeps failing gets its remaining jobs
 from __future__ import annotations
 
 import logging
+import operator
 import random
 import threading
 import time
@@ -40,7 +41,7 @@ from ..backends.api import (
     CoverCounts,
     RunFailure,
     SimulationTimeout,
-    has_port,
+    hold_reset,
 )
 from .breaker import BreakerBoard
 from .checkpoint import Checkpointer, Shard, ShardError
@@ -66,6 +67,9 @@ class RunJob:
     ``make_sim`` is a zero-argument factory returning a *fresh* simulation
     — called once per attempt, so retries never reuse a poisoned instance.
     ``stimulus`` (optional) pokes inputs before each cycle's ``step(1)``.
+    ``read_counts(sim)`` is what the job reports — at every checkpoint,
+    heartbeat and at the end: ``cover_counts()`` by default, the
+    lane-merged ``merged_cover_counts()`` for a swarm job.
     """
 
     job_id: str
@@ -74,6 +78,9 @@ class RunJob:
     cycles: int
     stimulus: Optional[Stimulus] = None
     reset_cycles: int = 1
+    read_counts: Callable[[object], CoverCounts] = operator.methodcaller(
+        "cover_counts"
+    )
 
     def __post_init__(self) -> None:
         if self.cycles <= 0:
@@ -473,10 +480,7 @@ class Executor:
         telemetry) over the whole block.
         """
         sim = job.make_sim()
-        if job.reset_cycles and has_port(sim, "reset"):
-            sim.poke("reset", 1)
-            sim.step(job.reset_cycles)
-            sim.poke("reset", 0)
+        hold_reset(sim, job.reset_cycles)
         cycle = 0
         while cycle < job.cycles:
             if worker.abandoned.is_set():
@@ -496,7 +500,7 @@ class Executor:
                 and self.checkpointer.due(cycle)
                 and not worker.abandoned.is_set()
             ):
-                counts = dict(sim.cover_counts())
+                counts = dict(job.read_counts(sim))
                 self.checkpointer.write(
                     Shard(
                         job_id=job.job_id,
@@ -513,7 +517,7 @@ class Executor:
                 break  # defensive: a sim refusing to advance must not spin
         if worker.abandoned.is_set():
             return
-        worker.counts = dict(sim.cover_counts())
+        worker.counts = dict(job.read_counts(sim))
 
     def _report_progress(self, job_id: str, cycle: int, counts) -> None:
         if self.progress is None:

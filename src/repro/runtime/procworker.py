@@ -47,7 +47,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..backends.api import CoverCounts, RunFailure, has_port
+from ..backends.api import CoverCounts, RunFailure, hold_reset
 from .telemetry import obs
 
 #: message tags on the child → parent pipe
@@ -297,10 +297,7 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
             sim = job.make_sim()
         conn.send((BEAT, 0, 0))
         _flush_telemetry(conn, baseline)
-        if job.reset_cycles and has_port(sim, "reset"):
-            sim.poke("reset", 1)
-            sim.step(job.reset_cycles)
-            sim.poke("reset", 0)
+        hold_reset(sim, job.reset_cycles)
         batch_start = obs.tracer.clock() if obs.enabled else 0.0
         last_batch_cycle = 0
         cycle = 0
@@ -327,7 +324,7 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
             if result.cycles and cycles_done % policy.heartbeat_cycles == 0:
                 mark_batch(cycles_done - last_batch_cycle)
                 last_batch_cycle = cycles_done
-                conn.send((BEAT, cycles_done, counts_digest(sim.cover_counts())))
+                conn.send((BEAT, cycles_done, counts_digest(job.read_counts(sim))))
             if (
                 result.cycles
                 and checkpoint_every
@@ -337,7 +334,7 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
                     "shard-stream", cat="worker",
                     backend=job.backend_name, cycle=cycles_done,
                 ):
-                    conn.send((SHARD, cycles_done, dict(sim.cover_counts())))
+                    conn.send((SHARD, cycles_done, dict(job.read_counts(sim))))
                 _flush_telemetry(conn, baseline)
             if result.stopped:
                 break
@@ -351,7 +348,7 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
                 backend=job.backend_name, attempt=attempt, cycles=cycles_done,
             )
         _flush_telemetry(conn, baseline)
-        conn.send((DONE, cycles_done, dict(sim.cover_counts())))
+        conn.send((DONE, cycles_done, dict(job.read_counts(sim))))
     except MemoryError:
         # The sim's allocations still pin address space; a well-behaved
         # fault frees before raising (see FaultySimulation), and this small

@@ -47,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import operator
 import random
 import signal
 import threading
@@ -54,12 +55,12 @@ import time
 from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .breaker import BreakerBoard
 from .checkpoint import Checkpointer, Shard
 from .cluster import ClusterCoordinator, LiveCoverage
-from .executor import Executor, RunJob
+from .executor import CampaignResult, Executor, RunJob, Stimulus
 from .journal import Journal
 from .telemetry import obs
 
@@ -201,13 +202,13 @@ class CampaignSpec:
             cycles=cycles,
             metrics=tuple(metrics_raw),
             seed=pick("seed", int, 0),
-            random_inputs=bool(data.get("random_inputs", True)),
+            random_inputs=pick("random_inputs", bool, True),
             priority=pick("priority", int, 0),
             deadline_s=deadline,
             reset_cycles=reset_cycles,
             counter_width=counter_width,
             checkpoint_every=checkpoint_every,
-            min_instrument=bool(data.get("min_instrument", False)),
+            min_instrument=pick("min_instrument", bool, False),
         )
 
 
@@ -258,7 +259,13 @@ class Campaign:
 
 @dataclass
 class ExecutionOutcome:
-    """What one campaign execution produced (worker-thread result)."""
+    """What one campaign execution produced (worker-thread result).
+
+    ``counts`` is None when nothing trustworthy survived: the job never
+    produced counts, or every shard it produced was quarantined.
+    ``result`` is the executor's own report (failures, quarantine, the
+    job's status) for front ends that print it.
+    """
 
     status: str  # done | failed | interrupted
     detail: str = ""
@@ -266,81 +273,150 @@ class ExecutionOutcome:
     cycles_run: int = 0
     attempts: int = 0
     backend_ok: bool = False  # feeds the breaker
+    result: Optional[CampaignResult] = None
+
+
+class PreparedCampaign:
+    """The front half of every campaign: circuit, namespace, stimulus.
+
+    Parses the spec's circuit, instruments and/or minimizes it, and
+    collects the cover names; then hands out what a run needs — a
+    compile factory per backend, the seeded stimulus, and reconstruction
+    of the covers minimization elided.  :func:`execute_spec` drives them
+    through the executor, ``repro simulate --differential`` through the
+    differential runner.
+    """
+
+    def __init__(self, spec: CampaignSpec) -> None:
+        from ..coverage import all_cover_names, instrument
+        from ..ir import parse_circuit
+
+        self.spec = spec
+        circuit = parse_circuit(spec.circuit)
+        self._min_db = None
+        if spec.metrics:
+            state, db = instrument(
+                circuit, metrics=list(spec.metrics), minimize=spec.min_instrument
+            )
+            circuit = state.circuit
+            if spec.min_instrument:
+                self._min_db = db
+        elif spec.min_instrument:
+            from ..analysis.implication import minimize_circuit
+
+            state, self._min_db = minimize_circuit(circuit)
+            circuit = state.circuit
+        self.circuit = circuit
+        self.names = all_cover_names(circuit)
+        #: (name, width) of every randomly driven input, in port order
+        self._inputs = [
+            (p.name, getattr(p.type, "width", 1) or 1)
+            for p in circuit.top.inputs
+            if p.name not in ("clock", "reset")
+        ]
+
+    def make_sim(self, backend) -> Callable[[], object]:
+        """A factory compiling a fresh simulation on ``backend``."""
+        circuit, width = self.circuit, self.spec.counter_width
+        return lambda: backend.compile(circuit, counter_width=width)
+
+    def stimulus(self, lanes: int = 1,
+                 cancel_event: Optional[threading.Event] = None
+                 ) -> Optional[Stimulus]:
+        """The per-cycle stimulus: the cancel check and seeded random inputs.
+
+        The RNGs re-seed at cycle 0, so every attempt replays the same
+        inputs.  With ``lanes > 1`` (a swarm job) lane *l* replays the
+        stream of ``seed + l``; with one lane a poke drives every lane
+        alike.  None when there is nothing to do per cycle, so the
+        executor steps in blocks.
+        """
+        spec = self.spec
+        if not spec.random_inputs and cancel_event is None:
+            return None
+        seed, inputs = spec.seed, self._inputs if spec.random_inputs else ()
+        rngs = [random.Random() for _ in range(lanes)]
+        draw = rngs[0].getrandbits
+
+        def stimulus(sim, cycle):
+            if cancel_event is not None and cancel_event.is_set():
+                raise CampaignCancelled("cancelled")
+            if not cycle:
+                for lane, rng in enumerate(rngs):
+                    rng.seed(seed + lane)
+            if lanes == 1:
+                for name, width in inputs:
+                    sim.poke(name, draw(width))
+            else:
+                for name, width in inputs:
+                    sim.poke_lanes(name, [rng.getrandbits(width) for rng in rngs])
+
+        return stimulus
+
+    def reconstruct(self, counts: dict) -> dict:
+        """Full counts from the basis counts shards, WAL and deltas carry."""
+        if self._min_db is None:
+            return dict(counts)
+        from ..coverage.common import InstanceTree
+
+        return self._min_db.reconstruct_counts(
+            counts, InstanceTree(self.circuit),
+            counter_width=self.spec.counter_width,
+        )
+
+    @staticmethod
+    def warm(factories, isolation: str) -> None:
+        """Compile once in this process before any attempt forks.
+
+        Forked workers inherit the warm in-memory model cache
+        copy-on-write, so no attempt pays its own compile: exactly one
+        per circuit and backend.  A no-op without process isolation or
+        without a model cache.
+        """
+        from ..backends import default_cache
+
+        if isolation == "process" and default_cache() is not None:
+            for factory in factories:
+                factory()
 
 
 def execute_spec(
     spec: CampaignSpec,
     campaign_id: str,
-    checkpointer: Checkpointer,
+    checkpointer: Optional[Checkpointer],
     *,
     cancel_event: Optional[threading.Event] = None,
     isolation: str = "thread",
     timeout: Optional[float] = None,
     retries: int = 0,
     progress=None,
+    backend=None,
+    resume: bool = True,
+    **executor_options,
 ) -> ExecutionOutcome:
     """Run one campaign spec to completion (or interruption).
 
+    The one path from a spec to counts: the service scheduler, the
+    cluster worker, ``repro simulate`` and the tests computing reference
+    counts all run it (the bit-identical recovery check *is* this
+    function run twice).
+
     Deterministic by construction: the stimulus RNG is re-seeded from
     ``spec.seed`` at every attempt, so any two runs of the same spec —
-    including a post-crash re-run — produce bit-identical counts.
-    ``resume`` is always on: a complete shard left by a previous life of
-    the daemon is adopted instead of re-run.
+    including a post-crash re-run — produce bit-identical counts.  On
+    ``swarm`` lane *l* replays ``spec.seed + l`` and the job reports the
+    lanes' merged counts.  With ``resume`` (and a checkpointer) a
+    complete shard left by a previous run is adopted instead of re-run.
 
-    ``progress`` (optional ``fn(job_id, cycle, counts)``) is forwarded to
-    the executor's checkpoint-boundary hook — the seam the service's live
-    partial reports and the cluster workers' delta streams hang off.
-
-    Shared by the service scheduler, the cluster worker, and tests
-    computing reference counts (the bit-identical recovery check *is*
-    this function run twice).
+    ``backend`` replaces ``BACKENDS[spec.backend]()`` (the CLI's
+    ``--no-jit`` and ``--lanes``); further keyword arguments configure
+    the :class:`Executor` (``seed``, ``breaker``, ``mem_limit_mb``,
+    ``cpu_limit_s``).  ``progress`` (optional ``fn(job_id, cycle,
+    counts)``) is forwarded to the executor's checkpoint-boundary hook —
+    the seam the service's live partial reports and the cluster workers'
+    delta streams hang off.
     """
     from ..backends import BACKENDS
-    from ..coverage import all_cover_names, instrument
-    from ..coverage.common import InstanceTree
-    from ..ir import parse_circuit
-
-    circuit = parse_circuit(spec.circuit)
-    min_db = None
-    if spec.metrics:
-        state, db = instrument(
-            circuit, metrics=list(spec.metrics), minimize=spec.min_instrument
-        )
-        circuit = state.circuit
-        if spec.min_instrument:
-            min_db = db
-    elif spec.min_instrument:
-        from ..analysis.implication import minimize_circuit
-
-        state, min_db = minimize_circuit(circuit)
-        circuit = state.circuit
-    names = all_cover_names(circuit)
-
-    def reconstruct(counts: dict) -> dict:
-        # shards/WAL/deltas carried basis counters only; rebuild the
-        # elided covers so the service API stays bit-identical
-        if min_db is None:
-            return dict(counts)
-        return min_db.reconstruct_counts(
-            counts, InstanceTree(circuit), counter_width=spec.counter_width
-        )
-    backend = BACKENDS[spec.backend]()
-    rng = random.Random(spec.seed)
-    inputs = [
-        p.name for p in circuit.top.inputs if p.name not in ("clock", "reset")
-    ]
-    widths = {p.name: getattr(p.type, "width", 1) for p in circuit.top.inputs}
-
-    def stimulus(sim, cycle):
-        if cancel_event is not None and cancel_event.is_set():
-            raise CampaignCancelled(campaign_id)
-        if spec.random_inputs:
-            for name in inputs:
-                sim.poke(name, rng.getrandbits(widths.get(name, 1) or 1))
-
-    def make_sim():
-        rng.seed(spec.seed)  # every attempt replays the same stimulus
-        return backend.compile(circuit, counter_width=spec.counter_width)
 
     executor = Executor(
         timeout=spec.deadline_s if spec.deadline_s is not None else timeout,
@@ -350,54 +426,50 @@ def execute_spec(
         tenant=spec.tenant,
         campaign=campaign_id,
         progress=progress,
+        **executor_options,
     )
+    plan = PreparedCampaign(spec)
+    if backend is None:
+        backend = BACKENDS[spec.backend]()
+    swarm = spec.backend == "swarm"
     job = RunJob(
         job_id=campaign_id,
         backend_name=spec.backend,
-        make_sim=make_sim,
+        make_sim=plan.make_sim(backend),
         cycles=spec.cycles,
-        stimulus=stimulus,
+        stimulus=plan.stimulus(backend.lanes if swarm else 1, cancel_event),
         reset_cycles=spec.reset_cycles,
     )
+    if swarm:
+        job.read_counts = operator.methodcaller("merged_cover_counts")
+    plan.warm([job.make_sim], isolation)
     result = executor.run_campaign(
         [job],
-        known_names=names,
+        known_names=plan.names,
         counter_width=spec.counter_width,
-        resume=True,
+        resume=resume and checkpointer is not None,
     )
     outcome = result.outcomes[0]
+    run = dict(cycles_run=outcome.cycles_run, attempts=outcome.attempts,
+               result=result)
     if cancel_event is not None and cancel_event.is_set():
-        return ExecutionOutcome(
-            status="interrupted",
-            detail="cancelled at a cycle boundary",
-            cycles_run=outcome.cycles_run,
-            attempts=outcome.attempts,
-        )
+        return ExecutionOutcome("interrupted", "cancelled at a cycle boundary",
+                                **run)
+    if outcome.contributed and not result.quarantine.merged_job_ids:
+        # Counts exist but failed validation: reporting {} would launder
+        # the corruption into "0 points covered".
+        return ExecutionOutcome(FAILED, "every shard was quarantined", **run)
     if outcome.status in ("ok", "resumed"):
-        if not result.quarantine.merged_job_ids and names:
-            return ExecutionOutcome(
-                status=FAILED,
-                detail="every shard was quarantined",
-                attempts=outcome.attempts,
-            )
-        return ExecutionOutcome(
-            status=DONE,
-            detail="resumed from complete shard" if outcome.status == "resumed" else "",
-            counts=reconstruct(result.merged),
-            cycles_run=outcome.cycles_run,
-            attempts=outcome.attempts,
-            backend_ok=True,
-        )
+        detail = "resumed from complete shard" if outcome.status == "resumed" else ""
+        return ExecutionOutcome(DONE, detail, plan.reconstruct(result.merged),
+                                backend_ok=True, **run)
     detail = "; ".join(f.format() for f in outcome.failures[-2:]) or outcome.status
-    partial = reconstruct(result.merged) if outcome.contributed else None
-    return ExecutionOutcome(
-        status=FAILED,
-        detail=(f"partial ({outcome.cycles_run} cycles salvaged): {detail}"
-                if outcome.status == "partial" else detail),
-        counts=partial,
-        cycles_run=outcome.cycles_run,
-        attempts=outcome.attempts,
-    )
+    if outcome.status == "partial":
+        return ExecutionOutcome(
+            FAILED, f"partial ({outcome.cycles_run} cycles salvaged): {detail}",
+            plan.reconstruct(result.merged), **run,
+        )
+    return ExecutionOutcome(FAILED, detail, **run)
 
 
 @dataclass

@@ -83,14 +83,20 @@ class TestCli:
         assert main(["bmc", str(gcd_file), "--bound", "4"]) == 0
         assert "bounded model check" in capsys.readouterr().out
 
-    def test_simulate_with_checkpoints_and_resume(self, gcd_file, tmp_path, capsys):
+    @pytest.mark.parametrize("backend", [
+        ["--backend", "verilator"],
+        ["--backend", "swarm", "--lanes", "4"],
+    ], ids=["verilator", "swarm"])
+    def test_simulate_with_checkpoints_and_resume(self, gcd_file, tmp_path, capsys,
+                                                  backend):
         instrumented = tmp_path / "inst.fir"
         assert main(["instrument", str(gcd_file), "-m", "line",
                      "-o", str(instrumented)]) == 0
         counts = tmp_path / "counts.json"
         shards = tmp_path / "shards"
         args = [
-            "simulate", str(instrumented), "--cycles", "200", "--random-inputs",
+            "simulate", str(instrumented), *backend,
+            "--cycles", "200", "--random-inputs",
             "--counts", str(counts), "--shard-dir", str(shards),
             "--checkpoint-every", "50", "--timeout", "60", "--retries", "1",
         ]

@@ -119,6 +119,8 @@ class TestSpecValidation:
         ({"reset_cycles": -1}, "reset_cycles"),
         ({"checkpoint_every": -5}, "checkpoint_every"),
         ({"counter_width": 0}, "counter_width"),
+        ({"random_inputs": "false"}, "expected bool"),
+        ({"min_instrument": "false"}, "expected bool"),
     ])
     def test_rejects_bad_fields(self, gcd_text, patch, match):
         obj = dict(tenant="t", circuit=gcd_text)
