@@ -62,7 +62,7 @@ from typing import Optional
 from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
 from ..ir.types import bit_width, is_signed, mask
 from ..runtime.telemetry import obs
-from .model import CircuitModel, MemoryModel
+from .model import CircuitModel
 from .modelcache import CacheEntry, ModelCache, compile_schedule, resolve_cache
 from .pycodegen import CodeBuilder
 from .schedule import Schedule
@@ -166,11 +166,10 @@ class _CExprGen:
     a local inline sign-extension into ``sN``.
     """
 
-    def __init__(self, width: int, ref, mem, memories: dict[str, MemoryModel]):
+    def __init__(self, width: int, ref, mem):
         self.W = width
         self.ref = ref
         self.mem = mem
-        self.memories = memories
 
     # -- literal / helper emission ------------------------------------------
 
@@ -239,10 +238,8 @@ class _CExprGen:
                 arms.append(text)
             return f"(({cond}) ? ({arms[0]}) : ({arms[1]}))"
         if isinstance(expr, MemRead):
-            addr = self.gen(expr.addr)
-            memory = self.memories[expr.mem]
-            index = self.m(addr, memory.padded_depth.bit_length() - 1)
-            return f"{self.mem(expr.mem)}[(size_t)({index})]"
+            # the schedule bounds every read: the address is in range
+            return f"{self.mem(expr.mem)}[(size_t)({self.gen(expr.addr)})]"
         if isinstance(expr, PrimOp):
             return self._primop(expr)
         raise TypeError(f"cannot generate C for {expr!r}")
@@ -383,7 +380,7 @@ class _StepRenderer:
     """Emits one edge of the ``repro_step`` loop from the schedule walk."""
 
     def __init__(self, schedule: Schedule, gen: _CExprGen, b: CodeBuilder) -> None:
-        self.ids = schedule.ids
+        self.ids = schedule.refs
         self.gen = gen
         self.b = b
 
@@ -392,6 +389,14 @@ class _StepRenderer:
 
     def settled(self) -> None:
         pass
+
+    def guard(self, expr) -> None:
+        self.b.emit(f"if ({self.gen.gen(expr)}) {{")
+        self.b.depth += 1
+
+    def unguard(self) -> None:
+        self.b.depth -= 1
+        self.b.emit("}")
 
     def cover(self, slot, pred, en) -> None:
         self.b.emit(f"if ({self.gen.predicate(pred, en)}) cov[{slot}] += 1;")
@@ -409,8 +414,7 @@ class _StepRenderer:
         guard = gen.gen(write.en)
         if write.bound is not None:
             guard = f"({guard}) && (({addr}) < {gen.lit(write.bound)})"
-        index = gen.m(addr, write.memory.padded_depth.bit_length() - 1)
-        self.b.emit(f"if ({guard}) {write.mem_id}[(size_t)({index})] = {gen.gen(write.data)};")
+        self.b.emit(f"if ({guard}) {write.mem_id}[(size_t)({addr})] = {gen.gen(write.data)};")
 
     def commit(self, index, name) -> None:
         self.b.emit(f"{self.ids[name]} = n_{index};")
@@ -432,7 +436,6 @@ def generate_c_source(model: CircuitModel) -> str:
     schedule = Schedule(model)
     W = _word(schedule)
     names, ids, mem_ids = schedule.names, schedule.ids, schedule.mem_ids
-    memories = {m.name: m for m in model.memories}
     n_covers = len(schedule.slots)
 
     b = CodeBuilder()
@@ -483,22 +486,20 @@ def generate_c_source(model: CircuitModel) -> str:
     b.emit()
 
     # -- settle: one combinational sweep into the struct --------------------
-    struct_gen = _CExprGen(
-        W, lambda n: f"s->{ids[n]}", lambda n: f"s->{mem_ids[n]}", memories
-    )
+    struct_gen = _CExprGen(W, lambda n: f"s->{ids[n]}", lambda n: f"s->{mem_ids[n]}")
     b.emit("void repro_settle(void* p) {")
     b.depth += 1
     b.emit("state_t* s = (state_t*)p;")
     if not model.comb:
         b.emit("(void)s;")
-    for name, expr in model.comb:
+    for name, expr in schedule.comb:
         b.emit(f"s->{ids[name]} = {struct_gen.gen(expr)};")
     b.depth -= 1
     b.emit("}")
     b.emit()
 
     # -- step: the fused hot loop -------------------------------------------
-    local_gen = _CExprGen(W, lambda n: ids[n], lambda n: mem_ids[n], memories)
+    local_gen = _CExprGen(W, schedule.refs.__getitem__, mem_ids.__getitem__)
     b.emit("uint64_t repro_step(void* p, uint64_t cycles) {")
     b.depth += 1
     b.emit("state_t* s = (state_t*)p;")

@@ -57,22 +57,12 @@ class MemoryModel:
     def padded_depth(self) -> int:
         """Backing-store size: ``depth`` rounded up to a power of two.
 
-        Addresses are masked to ``ceil(log2(depth))`` bits by allocation
-        padding, so reads into the padded slots are in range (and return
-        0 — writes are guarded to ``depth``).
+        Reads at or past it return 0 and writes at or past ``depth`` are
+        dropped, so the padding slots always read 0.
         """
         if self.depth & (self.depth - 1):
             return 1 << self.depth.bit_length()
         return self.depth
-
-    @property
-    def needs_write_guard(self) -> bool:
-        """Whether writes need an ``addr < depth`` guard.
-
-        Only a non-power-of-two depth has padding slots a masked
-        address can reach.
-        """
-        return self.padded_depth != self.depth
 
 
 @dataclass

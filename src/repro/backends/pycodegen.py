@@ -27,7 +27,7 @@ from .schedule import Schedule
 #: effect order — must bump it: the content-addressed model cache
 #: (:mod:`repro.backends.modelcache`) mixes it into every cache key, so a
 #: bump invalidates all persisted entries (and C artifacts) at once.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 RefFn = Callable[[str], str]
 MemFn = Callable[[str], str]
@@ -198,8 +198,9 @@ def render_python(
     schedule's identifiers; ``counters`` is a list of raw counts indexed
     by cover slot (clamping happens at read time).  ``settle()`` runs one
     combinational sweep and stores every signal on the instance;
-    ``run(cycles)`` is the fused loop over :meth:`Schedule.walk`, returns
-    the edges it ran and leaves a fired stop's index in ``halted``.
+    ``run(cycles)`` is the fused loop over :meth:`Schedule.walk` — shared
+    temporaries are its locals, guards are ``if`` blocks — returns the
+    edges it ran and leaves a fired stop's index in ``halted``.
 
     ``value_probes`` histogram those signals on every edge inside the
     fused loop (``hist_<i>``, the efficient cover-values of §6).
@@ -219,7 +220,7 @@ class _ScalarRenderer:
         self.probes = probes
         self.gate = gate
         self.b = CodeBuilder()
-        self.ids = schedule.ids
+        self.ids = schedule.refs
         mem_ids = schedule.mem_ids
         self.gen = lambda expr: gen_expr(expr, self.ids.__getitem__, mem_ids.__getitem__)
 
@@ -258,7 +259,7 @@ class _ScalarRenderer:
         b.emit("def settle(self):")
         b.depth += 1
         load()
-        for name, expr in model.comb:
+        for name, expr in self.schedule.comb:
             b.emit(f"self.{ids[name]} = {ids[name]} = {self.gen(expr)}")
         if not (state or mems or model.comb):
             b.emit("pass")
@@ -311,6 +312,13 @@ class _ScalarRenderer:
         for i, probe in enumerate(self.probes):
             b.emit(f"_v = {self.ids[probe]}")
             b.emit(f"hist_{i}[_v] = hist_{i}.get(_v, 0) + 1")
+
+    def guard(self, expr: Expr) -> None:
+        self.b.emit(f"if {self.gen(expr)}:")
+        self.b.depth += 1
+
+    def unguard(self) -> None:
+        self.b.depth -= 1
 
     def cover(self, slot: int, pred: Expr, en: Expr) -> None:
         self.b.emit(f"if {predicate(self.gen, pred, en)}: cnt[{slot}] += 1")

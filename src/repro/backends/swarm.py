@@ -74,7 +74,7 @@ class _LaneRenderer:
 
     def __init__(self, schedule: Schedule, emitter: SwarmEmitter,
                  body: CodeBuilder, masked: bool) -> None:
-        self.ids = schedule.ids
+        self.ids = schedule.refs
         self.emitter = emitter
         self.body = body
         self.masked = masked
@@ -84,6 +84,15 @@ class _LaneRenderer:
 
     def settled(self) -> None:
         pass
+
+    def guard(self, expr) -> None:
+        # non-zero when any lane is: each cover inside still ANDs in its
+        # own enable, so a lane counts only under its own
+        self.body.emit(f"if {self.emitter.gen(expr)}:")
+        self.body.depth += 1
+
+    def unguard(self) -> None:
+        self.body.depth -= 1
 
     def cover(self, slot, pred, en) -> None:
         # the mask used for sampling is the mask at cycle start, so the
@@ -154,7 +163,7 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
     schedule = Schedule(model)
     ids, mem_ids = schedule.ids, schedule.mem_ids
     stride = schedule.widest + 2
-    emitter = SwarmEmitter(lanes, stride, ids.__getitem__, mem_ids.__getitem__)
+    emitter = SwarmEmitter(lanes, stride, schedule.refs.__getitem__, mem_ids.__getitem__)
     state = [p.name for p in model.inputs] + [r.name for r in model.registers]
     body = CodeBuilder()
 
@@ -168,7 +177,7 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
     body.emit("def settle(values, mems):")
     body.depth += 1
     load()
-    for name, expr in model.comb:
+    for name, expr in schedule.comb:
         body.emit(f"{ids[name]} = {emitter.gen(expr)}")
         body.emit(f"values[{name!r}] = {ids[name]}")
     if not (state or model.comb or model.memories):
