@@ -95,19 +95,19 @@ BACKEND_MATRIX = [
         "execution model", True, "-"),
     BackendCapabilities(
         "treadle-jit", "scalar renderer's generated Python class", True, True, True,
-        "model + Python source", True, "treadle interpreter"),
+        "model + Python source + bytecode", True, "treadle interpreter"),
     BackendCapabilities(
         "verilator", "scalar renderer's generated Python class", True, True, True,
-        "model + Python source", True, "-"),
+        "model + Python source + bytecode", True, "-"),
     BackendCapabilities(
         "essent", "scalar renderer, activity gate on", True, True, True,
-        "model + Python source", True, "-"),
+        "model + Python source + bytecode", True, "-"),
     BackendCapabilities(
         "c", "C renderer, cc-compiled shared object (ctypes)", True, True, True,
         "model + C source + .so artifact", True, "treadle JIT"),
     BackendCapabilities(
         "swarm", "packed-lane renderer, bit-parallel wide ints", True, True, True,
-        "model + Python source (keyed by lane count)", True, "-"),
+        "model + Python source + bytecode (keyed by lane count)", True, "-"),
 ]
 
 

@@ -206,8 +206,9 @@ class FireSimBackend:
 
     def compile(self, circuit, counter_width: Optional[int] = None) -> FireSimSimulation:
         from ...passes import lower
+        from ..modelcache import materialize
 
-        state = lower(circuit, flatten=True)
+        state = lower(materialize(circuit), flatten=True)
         return self.compile_state(state, counter_width)
 
     def compile_state(self, state: CompileState, counter_width: Optional[int] = None) -> FireSimSimulation:

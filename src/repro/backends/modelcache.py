@@ -15,12 +15,23 @@ wall clock on small designs.  This module removes it:
   Identical instrumented circuits hash identically regardless of which
   process or host built them; *any* change to the codegen contract is a
   version bump that invalidates every entry at once.
-* **value** — the generated Python source plus the pickled
+* **value** — the generated source plus the pickled
   :class:`~repro.backends.model.CircuitModel`, persisted on disk with
   the same atomic write-then-rename discipline as checkpoint shards,
-  fronted by an in-process LRU.  Transient per-process artifacts (the
-  schedule, the ``exec``'d module class, a loaded ``.so``) are memoized
-  on the in-memory entry only — they are never pickled.
+  fronted by an in-process LRU.  A Python source also persists as
+  ``marshal`` bytecode, stamped with the interpreter's bytecode magic
+  number and a SHA-256 of the bytes: a load uses it only when both
+  match, and compiles the stored source otherwise.  Transient
+  per-process artifacts (the schedule, the ``exec``'d module class, a
+  loaded ``.so``) are memoized on the in-memory entry only — they are
+  never pickled.
+* **manifest** — what a campaign derives from its spec before it
+  compiles (cover names, driven inputs, reconstruction recipes, the
+  circuit fingerprint), stored beside the models under a key the
+  campaign computes (:class:`~repro.runtime.service.PreparedCampaign`),
+  so a warm campaign parses and instruments nothing.  A
+  :class:`LazyCircuit` carries that fingerprint to the backends, which
+  key their compile on it and materialize the tree only on a miss.
 * **fork-safety** — the in-process LRU is populated *before* the
   executor forks its workers, so every child inherits warm entries via
   copy-on-write and compiles nothing; the disk tier covers fresh
@@ -29,13 +40,17 @@ wall clock on small designs.  This module removes it:
   the old entry or the new one, never a torn write.
 
 A corrupted or truncated cache file is treated as a miss: the model is
-recompiled and the entry silently overwritten — the cache can only ever
-cost a recompile, never a crash or a wrong simulation.
+recompiled (or the manifest re-derived) and the file silently
+overwritten — the cache can only ever cost a recompile, never a crash or
+a wrong simulation.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import json
+import marshal
 import os
 import pickle
 import tempfile
@@ -44,6 +59,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import CodeType
 from typing import Any, Callable, Optional
 
 from ..ir.nodes import Circuit
@@ -54,9 +70,49 @@ from .pycodegen import CODEGEN_VERSION
 from .schedule import Schedule
 
 #: cache file format version (the *container*, not the generated code)
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 CACHE_SUFFIX = ".model.pkl"
+MANIFEST_SUFFIX = ".manifest.json"
+
+
+class LazyCircuit:
+    """A circuit known by its fingerprint; the tree is built on demand.
+
+    ``load`` returns the :class:`~repro.ir.nodes.Circuit` (or
+    :class:`~repro.passes.CompileState`) the fingerprint describes.  A
+    compile keys on ``fingerprint`` alone, so a cache hit never calls
+    ``load``; a miss calls it once, and every later miss shares the tree.
+    With no fingerprint given, it is computed from the tree.
+    """
+
+    def __init__(self, load: Callable[[], Any],
+                 fingerprint: Optional[str] = None) -> None:
+        self._load = load
+        self._fingerprint = fingerprint
+        self._tree = None
+        self._lock = threading.Lock()
+
+    def tree(self):
+        """The circuit, loaded on first use (thread-safe, at most once)."""
+        with self._lock:
+            if self._tree is None:
+                self._tree = self._load()
+            return self._tree
+
+    @property
+    def fingerprint(self) -> str:
+        """The circuit's :func:`circuit_fingerprint`, given or computed once."""
+        if self._fingerprint is None:
+            self._fingerprint = circuit_fingerprint(self.tree())
+        return self._fingerprint
+
+
+def materialize(circuit_or_state):
+    """The circuit or state itself, loading a :class:`LazyCircuit`'s tree."""
+    if isinstance(circuit_or_state, LazyCircuit):
+        return circuit_or_state.tree()
+    return circuit_or_state
 
 
 def circuit_fingerprint(circuit_or_state) -> str:
@@ -69,6 +125,8 @@ def circuit_fingerprint(circuit_or_state) -> str:
     same flat circuit but different hierarchical cover names must not
     share compiled cover tables).
     """
+    if isinstance(circuit_or_state, LazyCircuit):
+        return circuit_or_state.fingerprint
     hasher = hashlib.sha256()
     circuit = getattr(circuit_or_state, "circuit", circuit_or_state)
     if not isinstance(circuit, Circuit):
@@ -114,10 +172,13 @@ def cache_key(
 class CacheEntry:
     """One compiled model: persisted payload + per-process memoization.
 
-    ``model`` and ``source`` survive pickling to disk; ``runtime`` is a
-    per-process scratch dict (schedule, exec'd classes, loaded ``.so``) that is
-    deliberately dropped on serialization — code objects do not pickle
-    portably across interpreter versions.
+    ``model``, ``source`` and ``bytecode`` survive pickling to disk;
+    ``runtime`` is a per-process memo dict (schedule, code object,
+    exec'd classes, loaded ``.so``) that is deliberately dropped on
+    serialization.  A code object itself does not pickle, and its
+    ``marshal`` form is readable only by the interpreter version that
+    wrote it, so ``bytecode`` is stamped with that version's magic number
+    (see :meth:`code`).
     """
 
     key: str
@@ -125,7 +186,37 @@ class CacheEntry:
     model: Any  # CircuitModel
     source: Optional[str] = None
     codegen_version: int = CODEGEN_VERSION
+    #: (bytecode magic number, sha256 hex, marshal bytes) of ``source``
+    bytecode: Optional[tuple] = None
     runtime: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def filename(self) -> str:
+        """The file name the generated Python source compiles under."""
+        return f"<generated {self.backend} {self.model.name}>"
+
+    def compile_source(self) -> None:
+        """Compile the Python source once; keep the code and its bytecode."""
+        code = compile(self.source, self.filename, "exec")
+        data = marshal.dumps(code)
+        self.bytecode = (importlib.util.MAGIC_NUMBER, hashlib.sha256(data).hexdigest(), data)
+        self.runtime["code"] = code
+
+    def code(self) -> CodeType:
+        """The code object of the Python source, made once per process.
+
+        Unmarshals ``bytecode`` only when its magic number is this
+        interpreter's and its digest matches — ``marshal`` is not safe
+        against corrupted data — and compiles ``source`` otherwise, so a
+        damaged or foreign entry costs a compile, never a crash.
+        """
+        code = self.runtime.get("code")
+        if code is None:
+            code = _load_bytecode(self.bytecode)
+            if code is None:
+                code = compile(self.source, self.filename, "exec")
+            self.runtime["code"] = code
+        return code
 
     def payload(self) -> dict:
         """The picklable on-disk form (runtime objects excluded)."""
@@ -135,8 +226,35 @@ class CacheEntry:
             "key": self.key,
             "backend": self.backend,
             "source": self.source,
+            "bytecode": self.bytecode,
             "model": self.model,
         }
+
+
+def _load_bytecode(bytecode) -> Optional[CodeType]:
+    """The code object in verified ``bytecode``, or None."""
+    try:
+        magic, digest, data = bytecode
+    except (TypeError, ValueError):
+        return None
+    if (magic != importlib.util.MAGIC_NUMBER or not isinstance(data, bytes)
+            or hashlib.sha256(data).hexdigest() != digest):
+        return None
+    try:
+        code = marshal.loads(data)
+    except (EOFError, TypeError, ValueError):
+        return None
+    return code if isinstance(code, CodeType) else None
+
+
+class _Flight:
+    """One build in progress: later askers wait on ``done``, share ``entry``."""
+
+    __slots__ = ("done", "entry")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.entry: Optional[CacheEntry] = None
 
 
 class ModelCache:
@@ -160,6 +278,7 @@ class ModelCache:
         self.hits = 0
         self.misses = 0
         self._lru: OrderedDict[str, CacheEntry] = OrderedDict()
+        self._flights: dict[str, _Flight] = {}
         self._lock = threading.RLock()
 
     # -- lookup ----------------------------------------------------------------
@@ -171,36 +290,60 @@ class ModelCache:
 
         Hit order: in-process LRU, then disk.  A disk entry whose format
         or codegen version (or recorded key/backend) does not match is a
-        miss and gets overwritten by the fresh compile.
+        miss and gets overwritten by the fresh compile.  The shared lock
+        guards only the LRU: the disk read, ``build()`` and the disk
+        write run outside it, single-flight per key — a second asker of
+        a key being built waits for that build, askers of other keys do
+        not wait at all.
         """
         started = time.perf_counter()
-        with self._lock:
-            entry = self._lru.get(key)
-            if entry is not None:
-                self._lru.move_to_end(key)
-                self._record_hit(backend, started)
-                return entry
+        while True:
+            with self._lock:
+                entry = self._lru.get(key)
+                if entry is not None:
+                    self._lru.move_to_end(key)
+                    self._record_hit(backend, started)
+                    return entry
+                flight = self._flights.get(key)
+                if flight is None:
+                    flight = self._flights[key] = _Flight()
+                    break
+            flight.done.wait()
+            if flight.entry is not None:
+                with self._lock:
+                    self._record_hit(backend, started)
+                return flight.entry
+            # the build this asker waited on raised: try it again
+        try:
             entry = self._load_disk(key, backend)
             if entry is not None:
-                self._remember(entry)
-                self._record_hit(backend, started)
-                return entry
-            self.misses += 1
-            if obs.enabled:
-                obs.inc("repro_model_cache_misses_total", backend=backend)
-            entry = build()
-            entry.key = key
-            entry.backend = backend
-            self._remember(entry)
-            self._store_disk(entry)
+                with self._lock:
+                    self._remember(entry)
+                    self._record_hit(backend, started)
+            else:
+                with self._lock:
+                    self.misses += 1
+                if obs.enabled:
+                    obs.inc("repro_model_cache_misses_total", backend=backend)
+                entry = build()
+                entry.key = key
+                entry.backend = backend
+                with self._lock:
+                    self._remember(entry)
+                self._store_disk(entry)
+            flight.entry = entry
             return entry
+        finally:
+            with self._lock:
+                del self._flights[key]
+            flight.done.set()
 
     def contains(self, key: str) -> bool:
         """Whether ``key`` is resident in memory or readable from disk."""
         with self._lock:
             if key in self._lru:
                 return True
-            return self._load_disk(key, backend=None) is not None
+        return self._load_disk(key, backend=None) is not None
 
     def clear_memory(self) -> None:
         """Drop the in-process tier (disk entries survive).
@@ -212,9 +355,41 @@ class ModelCache:
 
     def entry_path(self, key: str) -> Optional[Path]:
         """Where ``key`` persists on disk (None for memory-only caches)."""
-        if self.directory is None:
+        return self._path(key, CACHE_SUFFIX)
+
+    def load_manifest(self, key: str) -> Optional[dict]:
+        """The manifest stored under ``key``, or None.
+
+        None without a disk tier, for an absent file, and for one that is
+        truncated, garbage, fails its digest or names another key — every
+        bad manifest is a miss.  Manifests have no memory tier: each
+        lookup reads the disk, as a fresh process would.
+        """
+        path = self._path(key, MANIFEST_SUFFIX)
+        if path is None:
             return None
-        return self.directory / f"{key}{CACHE_SUFFIX}"
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            return None
+        digest, _, body = raw.partition(b"\n")
+        if hashlib.sha256(body).hexdigest().encode() != digest:
+            return None
+        try:
+            value = json.loads(body)
+        except ValueError:
+            return None
+        if not isinstance(value, dict) or value.get("key") != key:
+            return None
+        return value
+
+    def store_manifest(self, key: str, value: dict) -> None:
+        """Persist ``value`` (JSON) as the manifest ``key``; no-op in memory."""
+        path = self._path(key, MANIFEST_SUFFIX)
+        if path is None:
+            return
+        body = json.dumps({**value, "key": key}, separators=(",", ":")).encode()
+        _write_atomic(path, hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
 
     # -- internals -------------------------------------------------------------
 
@@ -263,25 +438,35 @@ class ModelCache:
             model=payload["model"],
             source=payload.get("source"),
             codegen_version=payload["codegen_version"],
+            bytecode=payload.get("bytecode"),
         )
 
     def _store_disk(self, entry: CacheEntry) -> None:
         path = self.entry_path(entry.key)
-        if path is None:
-            return
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=path.name, suffix=".tmp"
-        )
+        if path is not None:
+            _write_atomic(
+                path, pickle.dumps(entry.payload(), protocol=pickle.HIGHEST_PROTOCOL)
+            )
+
+    def _path(self, key: str, suffix: str) -> Optional[Path]:
+        if self.directory is None:
+            return None
+        return self.directory / f"{key}{suffix}"
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temporary file and a rename."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entry.payload(), handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 # -- process-wide default cache -------------------------------------------------
@@ -332,11 +517,11 @@ def compile_cached(
     includes ``cc --version``, so a compiler upgrade misses instead of
     loading a stale ``.so``).  The counter width is never one of them:
     every backend clamps at read time.
-    ``build`` runs at most once per key per process; concurrent
-    processes may race to build the same key, which is safe because
-    entries are written atomically and are bit-identical by
-    construction.  Raises whatever ``build()`` raises on a miss; never
-    raises on a hit.
+    ``build`` runs at most once per key per process (concurrent askers
+    of one key wait for the first one's build); concurrent processes may
+    race to build the same key, which is safe because entries are
+    written atomically and are bit-identical by construction.  Raises
+    whatever ``build()`` raises on a miss; never raises on a hit.
     """
     effective = resolve_cache(cache)
     if effective is None:
@@ -351,25 +536,31 @@ def compile_schedule(
     render: Optional[Callable] = None,
     cache: Optional[ModelCache] = None,
     options: tuple = (),
+    bytecode: bool = False,
 ) -> CacheEntry:
     """Lower, build the model and render it, through :func:`compile_cached`.
 
     The compile path of every code-generating backend.  ``render`` maps
     the :class:`~repro.backends.model.CircuitModel` to the generated
     source (None for the interpreter, which needs only the model);
-    ``options`` carries everything else that changes that source.  The
-    returned entry holds the process's
-    :class:`~repro.backends.schedule.Schedule` in
-    ``entry.runtime["schedule"]``, built once per entry and shared by
+    ``options`` carries everything else that changes that source.  With
+    ``bytecode`` the source is Python, compiled once on a miss and
+    persisted as bytecode (:meth:`CacheEntry.code`).  A
+    :class:`LazyCircuit` is materialized only on a miss.  The returned
+    entry holds the process's :class:`~repro.backends.schedule.Schedule`
+    in ``entry.runtime["schedule"]``, built once per entry and shared by
     every simulation of it.  Raises whatever lowering or ``render``
     raises on a miss.
     """
 
     def build() -> CacheEntry:
         with obs.span("compile", cat="compile", backend=backend):
-            model = build_model(circuit_or_state)
+            model = build_model(materialize(circuit_or_state))
             source = render(model) if render is not None else None
-        return CacheEntry(key="", backend=backend, model=model, source=source)
+            entry = CacheEntry(key="", backend=backend, model=model, source=source)
+            if bytecode:
+                entry.compile_source()
+        return entry
 
     entry = compile_cached(circuit_or_state, backend, build, cache=cache, options=options)
     if "schedule" not in entry.runtime:

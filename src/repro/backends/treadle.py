@@ -191,6 +191,7 @@ class TreadleBackend:
             render_python if self.jit else None,
             cache=self._cache,
             options=("jit",) if self.jit else (),
+            bytecode=self.jit,
         )
         plan = scalar_plan(entry) if self.jit else None
         return TreadleSimulation(entry.runtime["schedule"], counter_width, plan)

@@ -39,7 +39,7 @@ def scalar_plan(entry: CacheEntry, probes: tuple[str, ...] = ()) -> ScalarPlan:
     plan = entry.runtime.get("plan")
     if plan is None:
         plan = entry.runtime["plan"] = ScalarPlan(
-            entry.runtime["schedule"], entry.source, probes
+            entry.runtime["schedule"], entry.source, entry.code(), probes
         )
     return plan
 
@@ -223,7 +223,8 @@ class VerilatorBackend:
             render_python, value_probes=probes, activity_gate=self.activity_gate
         )
         entry = compile_schedule(
-            circuit_or_state, self.name, render, cache=self._cache, options=probes
+            circuit_or_state, self.name, render, cache=self._cache, options=probes,
+            bytecode=True,
         )
         return self.simulation_cls(
             entry.runtime["schedule"], counter_width, scalar_plan(entry, probes)

@@ -92,23 +92,23 @@ class CoverageDB:
         shards stays safe and repeated reconstruction is idempotent.
         A no-op (returning a copy) when the DB carries no recipes.
         """
-        out: CoverCounts = dict(counts)
-        if not self.recipes:
-            return out
-        limit = (1 << counter_width) - 1 if counter_width is not None else None
-        for module, module_recipes in self.recipes.items():
-            for path in tree.instance_paths(module):
-                for name, terms in module_recipes.items():
-                    key = f"{path}{name}"
-                    if key in out:
-                        continue
-                    total = 0
-                    for coefficient, basis in terms:
-                        total += coefficient * out.get(f"{path}{basis}", 0)
-                    if limit is not None:
-                        total = max(0, min(total, limit))
-                    out[key] = total
-        return out
+        return apply_recipes(counts, self.expand_recipes(tree), counter_width)
+
+    def expand_recipes(self, tree: "InstanceTree") -> list:
+        """The recipe table resolved against ``tree``: canonical keys.
+
+        One ``[key, [[coefficient, basis_key], ...]]`` per elided cover
+        per instance path, in reconstruction order — plain JSON, so a
+        campaign manifest stores it and :func:`apply_recipes` needs no
+        circuit.
+        """
+        return [
+            [f"{path}{name}",
+             [[coefficient, f"{path}{basis}"] for coefficient, basis in terms]]
+            for module, module_recipes in self.recipes.items()
+            for path in tree.instance_paths(module)
+            for name, terms in module_recipes.items()
+        ]
 
     def exclude(self, cover_key: str, reason: str) -> None:
         """Mark a canonical cover key as excluded from denominators."""
@@ -294,6 +294,29 @@ class InstanceTree:
 
         walk(self.main, "")
         return out
+
+
+def apply_recipes(
+    counts: CoverCounts, recipes: list, counter_width: Optional[int] = None
+) -> CoverCounts:
+    """``counts`` plus every elided cover of :meth:`CoverageDB.expand_recipes`.
+
+    Each recipe's key that ``counts`` lacks gets its term sum over the
+    counts so far, clamped to ``[0, 2**counter_width - 1]`` when a width
+    is given; keys already present are kept untouched.
+    """
+    out: CoverCounts = dict(counts)
+    limit = (1 << counter_width) - 1 if counter_width is not None else None
+    for key, terms in recipes:
+        if key in out:
+            continue
+        total = 0
+        for coefficient, basis in terms:
+            total += coefficient * out.get(basis, 0)
+        if limit is not None:
+            total = max(0, min(total, limit))
+        out[key] = total
+    return out
 
 
 def merge_counts(*results: CoverCounts, counter_width: Optional[int] = None) -> CoverCounts:

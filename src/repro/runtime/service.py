@@ -45,6 +45,8 @@ Endpoints: ``POST /submit``, ``GET /status/<id>``, ``GET /campaigns``,
 from __future__ import annotations
 
 import asyncio
+import functools
+import hashlib
 import json
 import logging
 import operator
@@ -276,24 +278,123 @@ class ExecutionOutcome:
     result: Optional[CampaignResult] = None
 
 
+#: the packages and modules (under ``repro/``) whose code derives a
+#: campaign manifest: parsing, the passes, instrumentation, minimization,
+#: the derivation below and the circuit fingerprint
+DERIVATION_SOURCES = (
+    "ir", "passes", "coverage", "analysis",
+    "runtime/service.py", "backends/modelcache.py",
+)
+
+
+@functools.cache
+def derivation_digest() -> str:
+    """A SHA-256 over the source of every module that derives a manifest.
+
+    Computed once per process and mixed into every manifest key, so an
+    edit to the parser, a pass, a metric, the minimizer or the
+    derivation itself misses instead of serving stale cover names —
+    there is no version constant to forget to bump.
+    """
+    root = Path(__file__).resolve().parent.parent
+    hasher = hashlib.sha256()
+    for entry in DERIVATION_SOURCES:
+        path = root / entry
+        for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            hasher.update(file.relative_to(root).as_posix().encode() + b"\0")
+            hasher.update(file.read_bytes())
+    return hasher.hexdigest()
+
+
+def manifest_key(spec: CampaignSpec) -> str:
+    """The content address of ``spec``'s manifest.
+
+    Covers everything the front half reads: the circuit text, the metric
+    list, ``min_instrument`` and the deriving code's identity.  Backend,
+    seed, cycles and counter width are not in it — one manifest serves
+    every run of the circuit.
+    """
+    hasher = hashlib.sha256()
+    head = [derivation_digest(), list(spec.metrics), spec.min_instrument]
+    hasher.update(json.dumps(head).encode() + b"\0")
+    hasher.update(spec.circuit.encode("utf-8", "surrogatepass"))
+    return hasher.hexdigest()
+
+
+def _checked_manifest(value) -> Optional[dict]:
+    """``value`` when it holds every field a run reads, well typed; else None."""
+    try:
+        names, inputs = value["names"], value["inputs"]
+        recipes, fingerprint = value["recipes"], value["fingerprint"]
+        valid = (
+            isinstance(fingerprint, str)
+            and isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and isinstance(inputs, list)
+            and all(isinstance(name, str) and type(width) is int
+                    for name, width in inputs)
+            and isinstance(recipes, list)
+            and all(isinstance(key, str) and all(
+                type(coefficient) is int and isinstance(basis, str)
+                for coefficient, basis in terms) for key, terms in recipes)
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
+    return value if valid else None
+
+
 class PreparedCampaign:
     """The front half of every campaign: circuit, namespace, stimulus.
 
-    Parses the spec's circuit, instruments and/or minimizes it, and
-    collects the cover names; then hands out what a run needs — a
-    compile factory per backend, the seeded stimulus, and reconstruction
-    of the covers minimization elided.  :func:`execute_spec` drives them
-    through the executor, ``repro simulate --differential`` through the
-    differential runner.
+    Everything a run reads from the spec's circuit is one *manifest*: the
+    cover names, the randomly driven inputs, the recipes that rebuild the
+    covers minimization elided (expanded per instance path) and the
+    fingerprint the backends key their compiled models on.  With a model
+    cache directory the manifest is stored under :func:`manifest_key`; a
+    warm campaign loads it and parses, instruments and prints nothing.
+    A miss (or a bad manifest) derives it from the prepared circuit,
+    stores it, and continues exactly as a hit does.  The circuit itself
+    is a :class:`~repro.backends.modelcache.LazyCircuit`: it is parsed
+    and instrumented only when a backend's compile misses.
+
+    It hands out what a run needs — a compile factory per backend, the
+    seeded stimulus, and reconstruction of the elided covers.
+    :func:`execute_spec` drives them through the executor, ``repro
+    simulate --differential`` through the differential runner.
     """
 
     def __init__(self, spec: CampaignSpec) -> None:
-        from ..coverage import all_cover_names, instrument
-        from ..ir import parse_circuit
+        from ..backends import default_cache
+        from ..backends.modelcache import LazyCircuit
 
         self.spec = spec
-        circuit = parse_circuit(spec.circuit)
         self._min_db = None
+        self._circuit = LazyCircuit(self._prepare)
+        cache = default_cache()
+        key = manifest_key(spec)
+        with obs.span("prepare", cat="compile") as span:
+            manifest = None
+            if cache is not None:
+                manifest = _checked_manifest(cache.load_manifest(key))
+            span.set(manifest="miss" if manifest is None else "hit")
+            if manifest is None:
+                manifest = self._derive()
+                if cache is not None:
+                    manifest["fingerprint"] = self._circuit.fingerprint
+                    cache.store_manifest(key, manifest)
+            else:
+                self._circuit = LazyCircuit(self._prepare, manifest["fingerprint"])
+        self.names: list[str] = manifest["names"]
+        #: (name, width) of every randomly driven input, in port order
+        self._inputs = [(name, width) for name, width in manifest["inputs"]]
+        self._recipes = manifest["recipes"]
+
+    def _prepare(self):
+        """Parse the spec's circuit; instrument and/or minimize it."""
+        from ..coverage import instrument
+        from ..ir import parse_circuit
+
+        spec = self.spec
+        circuit = parse_circuit(spec.circuit)
         if spec.metrics:
             state, db = instrument(
                 circuit, metrics=list(spec.metrics), minimize=spec.min_instrument
@@ -306,18 +407,34 @@ class PreparedCampaign:
 
             state, self._min_db = minimize_circuit(circuit)
             circuit = state.circuit
-        self.circuit = circuit
-        self.names = all_cover_names(circuit)
-        #: (name, width) of every randomly driven input, in port order
-        self._inputs = [
-            (p.name, getattr(p.type, "width", 1) or 1)
-            for p in circuit.top.inputs
-            if p.name not in ("clock", "reset")
-        ]
+        return circuit
+
+    def _derive(self) -> dict:
+        """The manifest, read off the prepared circuit."""
+        from ..coverage import all_cover_names
+        from ..coverage.common import InstanceTree
+
+        circuit = self._circuit.tree()
+        tree = InstanceTree(circuit)
+        return {
+            "names": all_cover_names(circuit, tree),
+            "inputs": [
+                [p.name, getattr(p.type, "width", 1) or 1]
+                for p in circuit.top.inputs
+                if p.name not in ("clock", "reset")
+            ],
+            "recipes": (
+                self._min_db.expand_recipes(tree) if self._min_db is not None else []
+            ),
+        }
 
     def make_sim(self, backend) -> Callable[[], object]:
-        """A factory compiling a fresh simulation on ``backend``."""
-        circuit, width = self.circuit, self.spec.counter_width
+        """A factory compiling a fresh simulation on ``backend``.
+
+        The backend keys its compile on the manifest's fingerprint, so a
+        model-cache hit never builds the circuit tree.
+        """
+        circuit, width = self._circuit, self.spec.counter_width
         return lambda: backend.compile(circuit, counter_width=width)
 
     def stimulus(self, lanes: int = 1,
@@ -355,14 +472,9 @@ class PreparedCampaign:
 
     def reconstruct(self, counts: dict) -> dict:
         """Full counts from the basis counts shards, WAL and deltas carry."""
-        if self._min_db is None:
-            return dict(counts)
-        from ..coverage.common import InstanceTree
+        from ..coverage.common import apply_recipes
 
-        return self._min_db.reconstruct_counts(
-            counts, InstanceTree(self.circuit),
-            counter_width=self.spec.counter_width,
-        )
+        return apply_recipes(counts, self._recipes, self.spec.counter_width)
 
     @staticmethod
     def warm(factories, isolation: str) -> None:

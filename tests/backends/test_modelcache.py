@@ -1,10 +1,12 @@
 """Content-addressed model cache: keys, tiers, corruption, cross-process."""
 
+import importlib.util
 import json
 import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from repro.backends import (
     CacheEntry,
     ModelCache,
+    SwarmBackend,
     TreadleBackend,
     VerilatorBackend,
     cache_key,
@@ -19,6 +22,8 @@ from repro.backends import (
     default_cache,
     set_default_cache,
 )
+from repro.backends import modelcache
+from repro.backends.cbackend import CBackend, find_compiler
 from repro.backends.modelcache import CACHE_SUFFIX, compile_cached
 from repro.backends.pycodegen import CODEGEN_VERSION
 from repro.coverage import instrument
@@ -167,6 +172,160 @@ class TestCorruptionRecovery:
         cache.clear_memory()
         backend.compile_state(other_state)  # recorded key mismatches file name
         assert cache.misses == 2
+
+
+class TestSingleFlight:
+    """The cache lock guards the LRU only; builds are single-flight per key."""
+
+    def test_memory_hit_on_one_key_while_another_builds(self):
+        cache = ModelCache()
+        cache.get_or_build("b", "x", lambda: CacheEntry("", "x", model="B"))
+        release, building = threading.Event(), threading.Event()
+
+        def slow_build():
+            building.set()
+            assert release.wait(10)
+            return CacheEntry("", "x", model="A")
+
+        first = threading.Thread(
+            target=cache.get_or_build, args=("a", "x", slow_build)
+        )
+        first.start()
+        try:
+            assert building.wait(10)
+            hit: list = []
+            reader = threading.Thread(
+                target=lambda: hit.append(cache.get_or_build("b", "x", None))
+            )
+            reader.start()
+            reader.join(5)
+            assert not reader.is_alive(), "a memory hit waited on another key's build"
+            assert hit[0].model == "B"
+        finally:
+            release.set()
+            first.join(10)
+        assert not first.is_alive()
+
+    def test_concurrent_askers_of_one_key_build_once(self):
+        cache = ModelCache()
+        release = threading.Event()
+        calls: list = []
+
+        def build():
+            calls.append(1)
+            assert release.wait(10)
+            return CacheEntry("", "x", model="A")
+
+        results: list = []
+        askers = [
+            threading.Thread(
+                target=lambda: results.append(cache.get_or_build("a", "x", build))
+            )
+            for _ in range(4)
+        ]
+        for asker in askers:
+            asker.start()
+        release.set()
+        for asker in askers:
+            asker.join(10)
+            assert not asker.is_alive()
+        assert len(calls) == 1
+        assert len(results) == 4 and all(r is results[0] for r in results)
+        assert (cache.misses, cache.hits) == (1, 3)
+
+    def test_failed_build_lets_the_next_asker_build(self):
+        cache = ModelCache()
+
+        def broken():
+            raise RuntimeError("cc died")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_build("a", "x", broken)
+        entry = cache.get_or_build("a", "x", lambda: CacheEntry("", "x", model="A"))
+        assert entry.model == "A" and cache.misses == 2
+
+
+class TestPersistedBytecode:
+    """Scalar and swarm entries persist their compiled source as bytecode."""
+
+    BACKENDS = {
+        "verilator": lambda cache: VerilatorBackend(cache=cache),
+        "treadle": lambda cache: TreadleBackend(cache=cache),
+        "swarm": lambda cache: SwarmBackend(lanes=4, cache=cache),
+    }
+
+    @staticmethod
+    def _counts(sim) -> dict:
+        sim.poke("reset", 1)
+        sim.step(1)
+        sim.poke("reset", 0)
+        sim.poke("req_valid", 1)
+        sim.poke("req_bits", (9 << 8) | 6)
+        sim.step(40)
+        return sim.cover_counts()
+
+    def _warm(self, tmp_path, gcd_state, name, monkeypatch, tamper=None):
+        make = self.BACKENDS[name]
+        cold = self._counts(make(ModelCache(tmp_path)).compile_state(gcd_state))
+        (path,) = tmp_path.glob(f"*{CACHE_SUFFIX}")
+        if tamper is not None:
+            payload = pickle.loads(path.read_bytes())
+            payload["bytecode"] = tamper(payload["bytecode"])
+            path.write_bytes(pickle.dumps(payload))
+        compiles: list = []
+        monkeypatch.setattr(
+            modelcache, "compile",
+            lambda *args: compiles.append(args) or compile(*args),
+            raising=False,
+        )
+        cache = ModelCache(tmp_path)
+        warm = self._counts(make(cache).compile_state(gcd_state))
+        assert cache.hits == 1 and warm == cold
+        return compiles
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_warm_load_compiles_nothing(self, tmp_path, gcd_state, name,
+                                        monkeypatch):
+        assert self._warm(tmp_path, gcd_state, name, monkeypatch) == []
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_flipped_byte_falls_back_to_source(self, tmp_path, gcd_state, name,
+                                               monkeypatch):
+        def flip(bytecode):
+            magic, digest, data = bytecode
+            middle = len(data) // 2
+            return magic, digest, data[:middle] + bytes([data[middle] ^ 0x40]) + data[middle + 1:]
+
+        compiles = self._warm(tmp_path, gcd_state, name, monkeypatch, flip)
+        assert len(compiles) == 1
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_foreign_magic_falls_back_to_source(self, tmp_path, gcd_state, name,
+                                                monkeypatch):
+        def foreign(bytecode):
+            magic, digest, data = bytecode
+            assert magic == importlib.util.MAGIC_NUMBER
+            return b"\x00\x00\r\n", digest, data
+
+        compiles = self._warm(tmp_path, gcd_state, name, monkeypatch, foreign)
+        assert len(compiles) == 1
+
+    def test_garbage_bytecode_shape_falls_back(self, tmp_path, gcd_state,
+                                               monkeypatch):
+        compiles = self._warm(tmp_path, gcd_state, "verilator", monkeypatch,
+                              lambda bytecode: "not a tuple")
+        assert len(compiles) == 1
+
+    def test_interpreter_entry_carries_no_bytecode(self, tmp_path, gcd_state):
+        TreadleBackend(jit=False, cache=ModelCache(tmp_path)).compile_state(gcd_state)
+        (path,) = tmp_path.glob(f"*{CACHE_SUFFIX}")
+        assert pickle.loads(path.read_bytes())["bytecode"] is None
+
+    @pytest.mark.skipif(find_compiler() is None, reason="no C compiler on PATH")
+    def test_c_entry_carries_no_bytecode(self, tmp_path, gcd_state):
+        CBackend(cache=ModelCache(tmp_path)).compile_state(gcd_state)
+        (path,) = tmp_path.glob(f"*{CACHE_SUFFIX}")
+        assert pickle.loads(path.read_bytes())["bytecode"] is None
 
 
 class TestDefaultCache:

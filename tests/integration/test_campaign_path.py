@@ -6,11 +6,13 @@ the counts file ``repro simulate`` writes must be exactly the counts the
 service reports for the same spec — on every backend, with and without
 minimal-basis instrumentation.  On swarm, lane *l* replays ``seed + l``:
 the merged counts are ``merge_counts`` over the scalar runs of those
-seeds.
+seeds.  With ``--model-cache-dir`` a second run hits the campaign
+manifest, and its counts file is byte-identical to the first run's.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -27,7 +29,7 @@ from repro.coverage import counts_from_json, instrument, merge_counts
 from repro.designs.serv import SerialGcd
 from repro.hcl import elaborate
 from repro.ir import print_circuit
-from repro.runtime import Checkpointer, FaultPlan, FaultyBackend
+from repro.runtime import Checkpointer, FaultPlan, FaultyBackend, obs
 from repro.runtime.service import CampaignSpec, execute_spec
 
 CYCLES, SEED, LANES = 200, 7, 4
@@ -138,3 +140,47 @@ def test_quarantined_salvage_reports_no_counts(design, tmp_path, monkeypatch,
     assert outcome.counts is None
     assert outcome.result.outcomes[0].status == "partial"
     assert "quarantined" in outcome.detail
+
+
+def simulate_file(design, out, *flags) -> bytes:
+    """Run ``repro simulate``; the bytes of the counts file it wrote."""
+    assert main([
+        "simulate", str(design), "--cycles", str(CYCLES), "--random-inputs",
+        "--seed", str(SEED), "--counts", str(out), *flags,
+    ]) == 0
+    return out.read_bytes()
+
+
+def manifest_outcome(trace) -> str:
+    """``hit`` or ``miss``: the ``prepare`` span of a ``--trace-out`` file."""
+    events = json.loads(trace.read_text())["traceEvents"]
+    (span,) = [e for e in events if e.get("name") == "prepare"]
+    return span["args"]["manifest"]
+
+
+#: ``--model-cache-dir`` runs beyond the per-backend cases
+CACHED_CASES = {
+    **CASES,
+    "process": ["--backend", "verilator", "--isolation", "process"],
+    "differential": ["--differential", "treadle,verilator,c"],
+}
+
+
+@pytest.mark.parametrize("minimize", [False, True], ids=["full", "min"])
+@pytest.mark.parametrize("case", sorted(CACHED_CASES))
+def test_manifest_miss_and_hit_write_identical_counts(design, tmp_path, case,
+                                                      minimize):
+    flags = CACHED_CASES[case] + ["--counter-width", "3",
+                                  "--model-cache-dir", str(tmp_path / "cache")]
+    if minimize:
+        flags.append("--min-instrument")
+    files, outcomes = [], []
+    for run in ("miss", "hit"):
+        obs.reset()  # the tracer outlives one in-process call
+        trace = tmp_path / f"{run}.trace.json"
+        files.append(simulate_file(design, tmp_path / f"{run}.json", *flags,
+                                   "--trace-out", str(trace)))
+        outcomes.append(manifest_outcome(trace))
+    assert outcomes == ["miss", "hit"]
+    assert files[0] == files[1]
+    assert any(counts_from_json(files[0].decode()).values())

@@ -1,26 +1,39 @@
 """Coverage service: specs, admission, fairness, drain, crash recovery."""
 
+import importlib
 import json
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.backends import (
+    BACKENDS,
+    ModelCache,
+    SwarmBackend,
+    TreadleBackend,
+    set_default_cache,
+)
 from repro.coverage import instrument
 from repro.designs.gcd import Gcd
 from repro.hcl import elaborate
 from repro.ir import print_circuit
 from repro.runtime.checkpoint import Checkpointer
 from repro.runtime.journal import replay
+from repro.runtime import service as service_module
 from repro.runtime.service import (
     Campaign,
     CampaignSpec,
     CoverageService,
+    PreparedCampaign,
     ServiceConfig,
     SpecError,
     execute_spec,
+    manifest_key,
 )
 from repro.runtime.telemetry import obs
 
@@ -493,3 +506,219 @@ class TestBoundedJournal:
             assert code == 200 and report["partial"] is False
         finally:
             revived.shutdown(drain=False)
+
+
+# -- the campaign manifest -----------------------------------------------------
+
+#: every function a campaign's front half calls to build the circuit tree
+FRONT_HALF = [
+    ("repro.ir", "parse_circuit"),
+    ("repro.ir.parser", "parse_circuit"),
+    ("repro.coverage", "instrument"),
+    ("repro.analysis.implication", "minimize_circuit"),
+    ("repro.ir", "print_circuit"),
+    ("repro.ir.printer", "print_circuit"),
+    ("repro.backends.modelcache", "print_circuit"),
+]
+
+#: one campaign backend per ``BACKENDS`` entry, plus the reference interpreter
+CAMPAIGN_BACKENDS = {
+    name: (lambda name=name: BACKENDS[name]()) for name in BACKENDS
+}
+CAMPAIGN_BACKENDS["swarm"] = lambda: SwarmBackend(lanes=4)
+CAMPAIGN_BACKENDS["treadle-nojit"] = lambda: TreadleBackend(jit=False)
+
+
+@pytest.fixture(scope="module")
+def raw_gcd_text():
+    """Uninstrumented GCD: the spec's metrics make the service instrument it."""
+    return print_circuit(elaborate(Gcd(width=8)))
+
+
+def manifest_spec(text, backend="treadle", **overrides):
+    base = dict(tenant="t", circuit=text, backend=backend, cycles=150, seed=5,
+                metrics=("line", "toggle"))
+    base.update(overrides)
+    return CampaignSpec(**base)
+
+
+@pytest.fixture
+def cache_dir(tmp_path):
+    """A model-cache directory; each :func:`with_cache` call is a fresh process."""
+    previous = set_default_cache(None)
+    yield tmp_path / "cache"
+    set_default_cache(previous)
+
+
+def with_cache(directory) -> ModelCache:
+    """Install a new cache over ``directory`` (empty memory tier) as default."""
+    cache = ModelCache(directory)
+    set_default_cache(cache)
+    return cache
+
+
+def run_spec(spec, backend_name="treadle", **options):
+    backend = CAMPAIGN_BACKENDS[backend_name]()
+    outcome = execute_spec(spec, "m", None, backend=backend, **options)
+    assert outcome.status == "done", outcome.detail
+    return outcome.counts
+
+
+def arm_front_half(monkeypatch, forbid: bool) -> Counter:
+    """Spy on :data:`FRONT_HALF`; with ``forbid`` every call raises."""
+    calls: Counter = Counter()
+    for module_name, name in FRONT_HALF:
+        module = importlib.import_module(module_name)
+        original = getattr(module, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            if forbid:
+                raise AssertionError(f"{_name} called on a warm campaign")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def prepare_span(spec) -> dict:
+    """The ``prepare`` span's args for one :class:`PreparedCampaign`."""
+    obs.enable()
+    try:
+        PreparedCampaign(spec)
+        (span,) = [e for e in obs.tracer.events() if e.get("name") == "prepare"]
+        return span["args"]
+    finally:
+        obs.disable()
+        obs.reset()
+
+
+class TestCampaignManifest:
+    @pytest.mark.parametrize("minimize", [False, True], ids=["full", "min"])
+    @pytest.mark.parametrize("backend", sorted(CAMPAIGN_BACKENDS))
+    def test_warm_campaign_builds_no_tree(self, raw_gcd_text, cache_dir,
+                                          monkeypatch, backend, minimize):
+        spec = manifest_spec(raw_gcd_text, backend.split("-")[0],
+                             min_instrument=minimize)
+        with_cache(cache_dir)
+        cold = run_spec(spec, backend)
+        with_cache(cache_dir)
+        # firesim's scan-chain pass rewrites the circuit before its host
+        # backend compiles it, so it alone rebuilds the tree, once
+        tree_once = backend == "firesim"
+        calls = arm_front_half(monkeypatch, forbid=not tree_once)
+        assert run_spec(spec, backend) == cold
+        if tree_once:
+            assert calls["parse_circuit"] == 1
+        else:
+            assert not calls
+
+    def test_prepare_span_records_miss_then_hit(self, raw_gcd_text, cache_dir):
+        spec = manifest_spec(raw_gcd_text)
+        with_cache(cache_dir)
+        assert prepare_span(spec) == {"manifest": "miss"}
+        with_cache(cache_dir)
+        assert prepare_span(spec) == {"manifest": "hit"}
+
+    def test_without_a_cache_directory_nothing_is_stored(self, raw_gcd_text,
+                                                         cache_dir):
+        spec = manifest_spec(raw_gcd_text)
+        assert prepare_span(spec) == {"manifest": "miss"}
+        set_default_cache(ModelCache())  # memory only
+        assert prepare_span(spec) == {"manifest": "miss"}
+        assert not cache_dir.exists()
+
+    def test_key_covers_circuit_metrics_minimize_and_code(self, raw_gcd_text,
+                                                          monkeypatch):
+        spec = manifest_spec(raw_gcd_text)
+        base = manifest_key(spec)
+        assert manifest_key(replace(spec, seed=9, cycles=3, backend="c",
+                                    counter_width=3)) == base
+        text, middle = spec.circuit, len(spec.circuit) // 2
+        flipped = chr(ord(text[middle]) ^ 1)
+        variants = [
+            replace(spec, circuit=text + " "),
+            replace(spec, circuit=text[:middle] + flipped + text[middle + 1:]),
+            replace(spec, metrics=("line",)),
+            replace(spec, metrics=("toggle", "line")),
+            replace(spec, min_instrument=True),
+        ]
+        keys = {manifest_key(variant) for variant in variants}
+        assert base not in keys and len(keys) == len(variants)
+        monkeypatch.setattr(service_module, "derivation_digest", lambda: "0" * 64)
+        assert manifest_key(spec) != base
+
+    @pytest.mark.parametrize("change", ["circuit", "metrics", "minimize", "code"])
+    def test_each_key_input_misses(self, raw_gcd_text, cache_dir, monkeypatch,
+                                   change):
+        spec = manifest_spec(raw_gcd_text)
+        with_cache(cache_dir)
+        cold = run_spec(spec)
+        if change == "circuit":
+            spec = replace(spec, circuit=spec.circuit + "\n")
+        elif change == "metrics":
+            spec = replace(spec, metrics=("toggle", "line"))
+        elif change == "minimize":
+            spec = replace(spec, min_instrument=True)
+        else:
+            monkeypatch.setattr(service_module, "derivation_digest",
+                                lambda: "f" * 64)
+        with_cache(cache_dir)
+        assert prepare_span(spec) == {"manifest": "miss"}
+        if change in ("circuit", "code"):
+            assert run_spec(spec) == cold
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "other-key",
+                                        "bad-field"])
+    def test_bad_manifest_rebuilds(self, raw_gcd_text, cache_dir, damage):
+        spec = manifest_spec(raw_gcd_text, min_instrument=True)
+        with_cache(cache_dir)
+        cold = run_spec(spec)
+        (path,) = cache_dir.glob("*.manifest.json")
+        raw = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(raw[: len(raw) // 2])
+        elif damage == "garbage":
+            path.write_bytes(b"\x00garbage\xff" * 20)
+        else:
+            import hashlib
+
+            body = json.loads(raw.partition(b"\n")[2])
+            if damage == "other-key":
+                body["key"] = "0" * 64
+            else:
+                body["names"] = [1, 2, 3]
+            data = json.dumps(body).encode()
+            path.write_bytes(hashlib.sha256(data).hexdigest().encode()
+                             + b"\n" + data)
+        with_cache(cache_dir)
+        assert prepare_span(spec) == {"manifest": "miss"}
+        assert path.read_bytes() == raw  # rewritten whole
+        with_cache(cache_dir)
+        assert run_spec(spec) == cold
+
+    @pytest.mark.parametrize("backend", ["treadle", "c", "swarm"])
+    def test_manifest_hit_with_evicted_model_compiles(self, raw_gcd_text,
+                                                      cache_dir, monkeypatch,
+                                                      backend):
+        spec = manifest_spec(raw_gcd_text, backend, min_instrument=True,
+                             counter_width=3)
+        with_cache(cache_dir)
+        cold = run_spec(spec, backend)
+        for path in cache_dir.iterdir():
+            if not path.name.endswith(".manifest.json"):
+                path.unlink()
+        cache = with_cache(cache_dir)
+        calls = arm_front_half(monkeypatch, forbid=False)
+        assert run_spec(spec, backend) == cold
+        # the lazy tree: parsed and instrumented once, for the one compile
+        assert calls["parse_circuit"] == 1 and calls["instrument"] == 1
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_process_isolation_hits(self, raw_gcd_text, cache_dir, monkeypatch):
+        spec = manifest_spec(raw_gcd_text, min_instrument=True)
+        with_cache(cache_dir)
+        cold = run_spec(spec, isolation="process")
+        with_cache(cache_dir)
+        arm_front_half(monkeypatch, forbid=True)
+        assert run_spec(spec, isolation="process") == cold
