@@ -18,10 +18,11 @@ Run with::
 """
 
 from repro.backends import EssentBackend, TreadleBackend, VerilatorBackend
+from repro.backends.api import input_widths
 from repro.coverage import all_cover_names, instrument
 from repro.designs.gcd import Gcd
 from repro.hcl import elaborate
-from repro.runtime import DifferentialRunner, FaultPlan, FaultyBackend
+from repro.runtime import DifferentialRunner, FaultPlan, FaultyBackend, poked_blocks
 
 CYCLES = 120
 
@@ -47,7 +48,7 @@ def main():
             "essent": lambda: liar.compile_state(state),
         },
         cycles=CYCLES,
-        stimulus=stimulus,
+        stimulus=poked_blocks(stimulus, input_widths(state.circuit)),
         known_names=names,
     )
 

@@ -21,6 +21,7 @@ import tempfile
 from pathlib import Path
 
 from repro.backends import TreadleBackend, VerilatorBackend
+from repro.backends.api import input_widths
 from repro.coverage import all_cover_names, instrument
 from repro.designs.gcd import Gcd
 from repro.hcl import elaborate
@@ -32,6 +33,7 @@ from repro.runtime import (
     FaultyBackend,
     RunJob,
     obs,
+    poked_blocks,
 )
 
 CYCLES = 120
@@ -55,17 +57,19 @@ def main():
     # crashes late: the checkpoint at cycle 100 is salvaged (status: partial)
     late_crash = FaultyBackend(TreadleBackend(), FaultPlan(crash_at=110, seed=32))
 
+    # the per-cycle testbench, recorded into blocks each job drives
+    blocks = poked_blocks(stimulus, input_widths(state.circuit))
     jobs = [
         RunJob("healthy", "verilator",
-               lambda: VerilatorBackend().compile_state(state), CYCLES, stimulus),
+               lambda: VerilatorBackend().compile_state(state), CYCLES, blocks),
         RunJob("hopeless-1", "faulty-treadle",
-               lambda: hopeless.compile_state(state), CYCLES, stimulus),
+               lambda: hopeless.compile_state(state), CYCLES, blocks),
         RunJob("hopeless-2", "faulty-treadle",
-               lambda: hopeless.compile_state(state), CYCLES, stimulus),
+               lambda: hopeless.compile_state(state), CYCLES, blocks),
         RunJob("hopeless-3", "faulty-treadle",
-               lambda: hopeless.compile_state(state), CYCLES, stimulus),
+               lambda: hopeless.compile_state(state), CYCLES, blocks),
         RunJob("late-crash", "late-treadle",
-               lambda: late_crash.compile_state(state), CYCLES, stimulus),
+               lambda: late_crash.compile_state(state), CYCLES, blocks),
     ]
 
     with tempfile.TemporaryDirectory() as shard_dir:

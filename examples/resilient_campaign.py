@@ -17,10 +17,18 @@ Run with::
 import tempfile
 
 from repro.backends import EssentBackend, TreadleBackend, VerilatorBackend
+from repro.backends.api import input_widths
 from repro.coverage import all_cover_names, instrument
 from repro.designs.gcd import Gcd
 from repro.hcl import elaborate
-from repro.runtime import Checkpointer, Executor, FaultPlan, FaultyBackend, RunJob
+from repro.runtime import (
+    Checkpointer,
+    Executor,
+    FaultPlan,
+    FaultyBackend,
+    RunJob,
+    poked_blocks,
+)
 
 CYCLES = 120
 
@@ -39,15 +47,17 @@ def main():
     corrupting = FaultyBackend(
         EssentBackend(), FaultPlan(corrupt_keys=2, negate_keys=1, seed=22)
     )
+    # the per-cycle testbench, recorded into blocks each job drives
+    blocks = poked_blocks(stimulus, input_widths(state.circuit))
     jobs = [
         RunJob("healthy-treadle", "treadle",
-               lambda: TreadleBackend().compile_state(state), CYCLES, stimulus),
+               lambda: TreadleBackend().compile_state(state), CYCLES, blocks),
         RunJob("healthy-verilator", "verilator",
-               lambda: VerilatorBackend().compile_state(state), CYCLES, stimulus),
+               lambda: VerilatorBackend().compile_state(state), CYCLES, blocks),
         RunJob("crashing-treadle", "faulty-treadle",
-               lambda: crashing.compile_state(state), CYCLES, stimulus),
+               lambda: crashing.compile_state(state), CYCLES, blocks),
         RunJob("corrupting-essent", "faulty-essent",
-               lambda: corrupting.compile_state(state), CYCLES, stimulus),
+               lambda: corrupting.compile_state(state), CYCLES, blocks),
     ]
 
     with tempfile.TemporaryDirectory() as shard_dir:

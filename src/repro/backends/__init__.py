@@ -78,7 +78,7 @@ class BackendCapabilities:
 
     name: str
     execution: str  # how cycles actually run
-    step_batch: bool  # native batched step(n) (not a Python loop per edge)
+    block_drive: bool  # drive(block) runs the block's edges in one call
     peek_poke: bool  # value probes / interactive peeks + pokes
     covers: bool  # cover counters read back per canonical name
     cache_tier: str  # what the content-addressed model cache stores
@@ -114,7 +114,7 @@ BACKEND_MATRIX = [
 def backend_matrix_markdown() -> str:
     """Render :data:`BACKEND_MATRIX` as the DESIGN.md §14 table."""
     header = (
-        "| backend | execution | step(n) | peek/poke | covers | "
+        "| backend | execution | drives a block in one call | peek/poke | covers | "
         "cache tier | process isolation | fallback |"
     )
     rule = "|---|---|---|---|---|---|---|---|"
@@ -122,7 +122,7 @@ def backend_matrix_markdown() -> str:
     lines = [header, rule]
     for row in BACKEND_MATRIX:
         lines.append(
-            f"| `{row.name}` | {row.execution} | {yes_no[row.step_batch]} | "
+            f"| `{row.name}` | {row.execution} | {yes_no[row.block_drive]} | "
             f"{yes_no[row.peek_poke]} | {yes_no[row.covers]} | "
             f"{row.cache_tier} | {yes_no[row.isolation]} | {row.fallback} |"
         )

@@ -15,11 +15,15 @@ different backends trivially mergeable.
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 from ..ir.nodes import Circuit
+from ..ir.types import bit_width, mask
 
 #: canonical coverage result: hierarchical cover name -> saturating count
 CoverCounts = dict[str, int]
@@ -57,6 +61,135 @@ class StepResult:
     stopped: bool = False
     stop_name: Optional[str] = None
     exit_code: int = 0
+
+
+@dataclass(frozen=True)
+class InputBlock:
+    """Raw input words for ``cycles`` clock edges: what :meth:`Simulation.drive` applies.
+
+    ``ports`` names the inputs the block drives as ``(name, width)``: a
+    subset of the top-level inputs other than ``clock``, which producers
+    list in port order.  Inputs it does not name hold their value.
+    Each cycle is ``stride`` little-endian 32-bit words, port after port:
+    a ``width``-bit value takes ``ceil(width / 32)`` words, least
+    significant first, and its last word keeps the remaining bits in its
+    *top* bits.  That is the layout ``random.Random.getrandbits`` draws,
+    so a seeded block is one ``randbytes(4 * stride * cycles)`` call.
+    ``words`` holds one such array per lane: one for a scalar simulation
+    (a swarm broadcasts it to every lane), one per lane for a swarm job.
+
+    The block reads as a sequence of per-cycle ``{name: value}`` frames
+    (lane 0), and a slice is the sub-block of those cycles.  Immutable,
+    so one block may be shared across threads.  Construction raises
+    ``ValueError`` for a ``clock`` port, a width below 1, or word arrays
+    of the wrong length.
+    """
+
+    ports: tuple[tuple[str, int], ...]
+    cycles: int
+    words: tuple[bytes, ...]
+
+    def __post_init__(self) -> None:
+        if any(name == "clock" or width < 1 for name, width in self.ports):
+            raise ValueError(f"a block drives inputs of width >= 1 other than clock: {self.ports}")
+        size = 4 * self.stride * self.cycles
+        if not self.words or any(len(words) != size for words in self.words):
+            raise ValueError(f"each lane of a {self.cycles}-cycle block holds {size} bytes")
+
+    @cached_property
+    def stride(self) -> int:
+        """32-bit words per cycle."""
+        return sum((width + 31) >> 5 for _, width in self.ports)
+
+    @classmethod
+    def encode(cls, ports, rows) -> "InputBlock":
+        """A one-lane block from per-cycle rows of values, one per port.
+
+        Each value is masked to its port's width, as a poke would.
+        """
+        ports = tuple((name, width) for name, width in ports)
+        slots, bit = [], 0
+        for _, width in ports:
+            count = (width + 31) >> 5
+            low = 32 * (count - 1)
+            slots.append((mask(width), mask(low), low, low + 32 * count - width, bit))
+            bit += 32 * count
+        size = bit >> 3
+        out = bytearray()
+        cycles = 0
+        for row in rows:
+            acc = 0
+            for (keep, low_mask, low, top, at), value in zip(slots, row):
+                value &= keep
+                acc |= ((value & low_mask) | (value >> low << top)) << at
+            out += acc.to_bytes(size, "little")
+            cycles += 1
+        return cls(ports, cycles, (bytes(out),))
+
+    def check(self, widths: dict[str, int], lanes: int = 1) -> None:
+        """Raise unless the block fits inputs of ``widths`` and ``lanes`` lanes.
+
+        ``KeyError`` for a port not in ``widths``, ``ValueError`` for a
+        width that is not the port's or more word arrays than ``lanes``.
+        """
+        if len(self.words) > lanes:
+            raise ValueError(f"{len(self.words)} lanes of inputs for a {lanes}-lane simulation")
+        for name, width in self.ports:
+            if name not in widths:
+                raise KeyError(f"no such input port: {name}")
+            if widths[name] != width:
+                raise ValueError(f"input {name} is {widths[name]} bits wide, not {width}")
+
+    def columns(self, lane: int = 0) -> list[list[int]]:
+        """Per port, its value on every cycle, decoded from ``lane``'s words."""
+        words = array("I", self.words[lane])
+        if sys.byteorder == "big":
+            words.byteswap()
+        stride, offset, out = self.stride, 0, []
+        for _, width in self.ports:
+            count = (width + 31) >> 5
+            last = offset + count - 1
+            drop = 32 * count - width
+            column = [word >> drop for word in words[last::stride]]
+            for at in range(last - 1, offset - 1, -1):
+                column = [high << 32 | word for high, word in zip(column, words[at::stride])]
+            out.append(column)
+            offset += count
+        return out
+
+    def __len__(self) -> int:
+        return self.cycles
+
+    def __iter__(self):
+        names = [name for name, _ in self.ports]
+        rows = zip(*self.columns()) if names else [()] * self.cycles
+        for values in rows:
+            yield dict(zip(names, values))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self.cycles)
+            if step != 1:
+                raise ValueError("a block slice takes consecutive cycles")
+            stop = max(start, stop)
+            size = 4 * self.stride
+            return InputBlock(
+                self.ports, stop - start,
+                tuple(words[start * size:stop * size] for words in self.words),
+            )
+        if not -self.cycles <= index < self.cycles:
+            raise IndexError(f"cycle {index} of a {self.cycles}-cycle block")
+        index %= self.cycles
+        return next(iter(self[index:index + 1]))
+
+
+#: ``(cycle, n) -> InputBlock``: the inputs of the ``n`` cycles from ``cycle``
+BlockSource = Callable[[int, int], InputBlock]
+
+
+def input_widths(circuit: Circuit) -> dict[str, int]:
+    """``{name: width}`` of the top-level inputs a block may drive, in port order."""
+    return {p.name: bit_width(p.type) for p in circuit.top.inputs if p.name != "clock"}
 
 
 class SimulationFault(RuntimeError):
@@ -157,6 +290,24 @@ class Simulation(Protocol):
         """
         ...
 
+    def drive(self, block: InputBlock) -> StepResult:
+        """Apply ``block``: per cycle, set its inputs and step one edge.
+
+        The cycle loop of every driver (seeded stimulus, replay, fuzzing)
+        in one call.  It stops at the first stop, like ``step``, with
+        ``StepResult.cycles`` counting the edges run; a halted simulation
+        still takes the first cycle's inputs and reports its stop again
+        with 0 cycles.  Inputs the block does not name hold their value,
+        and afterwards peeks see the last applied cycle's inputs.
+        ``block.cycles == 0`` is a no-op returning ``StepResult(0)``.
+        Equivalent to the reference :func:`drive` (poke, then ``step(1)``,
+        per cycle), which tiers without a native loop use.  Raises
+        ``KeyError`` for a port that is not a top-level input and
+        ``ValueError`` for a width that is not the port's; may raise
+        :class:`SimulationFault` like ``step``.
+        """
+        ...
+
     def cover_counts(self) -> CoverCounts:
         """Saturating cover counters keyed by canonical hierarchical name.
 
@@ -237,6 +388,30 @@ def metered_step(meter, run: Callable[[], StepResult]) -> StepResult:
     result = run()
     meter.add(result.cycles, time.perf_counter() - started)
     return result
+
+
+def drive(sim: Simulation, block: InputBlock) -> StepResult:
+    """The reference :meth:`Simulation.drive`: poke each cycle's inputs, then ``step(1)``.
+
+    Serves every tier without a native block loop — the tree-walking
+    interpreter, a simulation with watched signals, fault injection (so
+    an injected fault lands on its cycle) — and is what the parity suite
+    holds each native ``drive`` to.  Drives lane 0 of ``block`` through
+    ``poke``; raises ``ValueError`` for a block of several lanes, which
+    only a swarm's own ``drive`` applies.  Stops at the first stop, or
+    when a ``step(1)`` runs no edge.
+    """
+    if len(block.words) != 1:
+        raise ValueError(f"a {len(block.words)}-lane block needs a swarm simulation")
+    done = 0
+    for frame in block:
+        for name, value in frame.items():
+            sim.poke(name, value)
+        result = sim.step(1)
+        done += result.cycles
+        if result.stopped or not result.cycles:
+            return StepResult(done, result.stopped, result.stop_name, result.exit_code)
+    return StepResult(done)
 
 
 def hold_reset(sim: Simulation, cycles: int) -> None:

@@ -13,12 +13,17 @@ symbol                             role
 ``repro_create`` / ``repro_destroy``  allocate / free one simulation state
 ``repro_reset``                    zero all architectural state and counters
 ``repro_settle``                   one combinational sweep (before peeks)
-``repro_step(s, n)``               run ``n`` rising edges, return cycles done
+``repro_step(s, n, words, …)``     run ``n`` rising edges, return cycles done
 ``repro_halted``                   fired stop index, or -1 while running
 ``repro_poke`` / ``repro_peek``    write an input / read any signal by index
 ``repro_read_covers``              copy the raw 64-bit cover counters out
 ``repro_abi_version`` & friends    load-time sanity checks on the artifact
 ================================== ==========================================
+
+``repro_step`` takes an optional input block: ``words`` (NULL for a
+plain step), the block's 32-bit words per cycle, and per input port the
+word offset of its value in a cycle (-1 holds the port).  The loop
+decodes each named input before each edge, so a block is one call.
 
 Semantics mirror :mod:`repro.backends.pycodegen` exactly: every generated
 sub-expression is the operand's *raw masked bit pattern* held in one
@@ -62,6 +67,7 @@ from typing import Optional
 from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
 from ..ir.types import bit_width, is_signed, mask
 from ..runtime.telemetry import obs
+from .api import InputBlock
 from .model import CircuitModel
 from .modelcache import CacheEntry, ModelCache, compile_schedule, resolve_cache
 from .pycodegen import CodeBuilder
@@ -70,7 +76,7 @@ from .treadle import TreadleBackend
 from .verilator import VerilatorSimulation
 
 #: Version stamped into (and checked out of) every generated artifact.
-C_ABI_VERSION = 1
+C_ABI_VERSION = 2
 
 #: Every value crosses the ABI as this many little-endian 64-bit words,
 #: regardless of the model's word width — peek/poke are not hot paths.
@@ -376,6 +382,23 @@ static inline sN _sshr(sN x, uN s) {
 """
 
 
+def _decode(width: int, index: int) -> str:
+    """C reading input ``index``'s ``width``-bit value from the cycle's words ``w``.
+
+    The block layout: least significant word first, the last word's
+    bits in its top bits.
+    """
+    count = (width + 31) >> 5
+    drop = 32 * count - width
+    parts = []
+    for j in range(count):
+        word = f"w[at[{index}] + {j}]" if j else f"w[at[{index}]]"
+        if j == count - 1 and drop:
+            word = f"({word} >> {drop})"
+        parts.append(f"((uN){word} << {32 * j})" if j else f"(uN){word}")
+    return " | ".join(parts)
+
+
 class _StepRenderer:
     """Emits one edge of the ``repro_step`` loop from the schedule walk."""
 
@@ -427,8 +450,9 @@ def generate_c_source(model: CircuitModel) -> str:
     refreshed by ``repro_settle`` — combinational values), the memories,
     the raw 64-bit cover counters (one per slot), and the fired-stop
     index.  The hot ``repro_step`` loop is the schedule walk, keeping
-    register state in locals and touching the struct only for
-    covers/stops/memories, like the scalar Python renderer's fused loop.
+    input and register state in locals and touching the struct only for
+    covers/stops/memories, like the scalar Python renderer's fused loop;
+    given a block's words it sets each named input before each edge.
 
     Raises :class:`CUnsupportedCircuit` when any intermediate value
     exceeds 128 bits.
@@ -500,14 +524,16 @@ def generate_c_source(model: CircuitModel) -> str:
 
     # -- step: the fused hot loop -------------------------------------------
     local_gen = _CExprGen(W, schedule.refs.__getitem__, mem_ids.__getitem__)
-    b.emit("uint64_t repro_step(void* p, uint64_t cycles) {")
+    b.emit(
+        "uint64_t repro_step(void* p, uint64_t cycles, const uint32_t* words, "
+        "uint32_t stride, const int32_t* at) {"
+    )
     b.depth += 1
     b.emit("state_t* s = (state_t*)p;")
     b.emit("if (s->halted >= 0) return 0;")
-    for port in model.inputs:
-        b.emit(f"const uN {ids[port.name]} = s->{ids[port.name]};")
-    for reg in model.registers:
-        b.emit(f"uN {ids[reg.name]} = s->{ids[reg.name]};")
+    state = [ids[p.name] for p in model.inputs] + [ids[r.name] for r in model.registers]
+    for name in state:
+        b.emit(f"uN {name} = s->{name};")
     for memory in model.memories:
         b.emit(
             f"uN * const {mem_ids[memory.name]} = s->{mem_ids[memory.name]};"
@@ -518,14 +544,21 @@ def generate_c_source(model: CircuitModel) -> str:
     b.emit("uint64_t i;")
     b.emit("for (i = 0; i < cycles; i++) {")
     b.depth += 1
+    if model.inputs:
+        b.emit("if (words) {")
+        b.emit("    const uint32_t* w = words + i * stride;")
+        for index, port in enumerate(model.inputs):
+            value = _decode(model.widths[port.name], index)
+            b.emit(f"    if (at[{index}] >= 0) {ids[port.name]} = {value};")
+        b.emit("}")
     schedule.walk(_StepRenderer(schedule, local_gen, b))
     b.emit("done += 1;")
     if model.stops:
         b.emit("if (s->halted >= 0) break;")
     b.depth -= 1
     b.emit("}")
-    for reg in model.registers:
-        b.emit(f"s->{ids[reg.name]} = {ids[reg.name]};")
+    for name in state:
+        b.emit(f"s->{name} = {name};")
     b.emit("return done;")
     b.depth -= 1
     b.emit("}")
@@ -688,7 +721,10 @@ class _CompiledLib:
             lib.repro_settle.restype = None
             lib.repro_settle.argtypes = [ctypes.c_void_p]
             lib.repro_step.restype = ctypes.c_uint64
-            lib.repro_step.argtypes = [ctypes.c_void_p, ctypes.c_uint64]
+            lib.repro_step.argtypes = [
+                ctypes.c_void_p, ctypes.c_uint64, ctypes.c_void_p,
+                ctypes.c_uint32, ctypes.POINTER(ctypes.c_int32),
+            ]
             lib.repro_halted.restype = ctypes.c_int32
             lib.repro_halted.argtypes = [ctypes.c_void_p]
             words = ctypes.POINTER(ctypes.c_uint64)
@@ -718,6 +754,7 @@ class _CompiledLib:
                 )
         self._lib = lib
         self.index = {name: i for i, name in enumerate(names)}
+        self.inputs = {port.name: i for i, port in enumerate(schedule.model.inputs)}
         self.slots = schedule.slots
         self.create = lib.repro_create
         self.destroy = lib.repro_destroy
@@ -729,6 +766,19 @@ class _CompiledLib:
         self.peek = lib.repro_peek
         self.read_covers = lib.repro_read_covers
 
+    def offsets(self, ports: tuple[tuple[str, int], ...]):
+        """``repro_step``'s ``at`` array for a block naming ``ports``.
+
+        Per input port, the word offset of its value within a cycle, or
+        -1 for a port the block does not name.
+        """
+        at = (ctypes.c_int32 * max(1, len(self.inputs)))(*[-1] * len(self.inputs))
+        offset = 0
+        for name, width in ports:
+            at[self.inputs[name]] = offset
+            offset += (width + 31) >> 5
+        return at
+
 
 class _NativeState:
     """One native simulation state, behind the scalar engine interface.
@@ -737,7 +787,9 @@ class _NativeState:
     ``GeneratedSim`` instance does — ``settle()``, ``run(cycles)``, raw
     ``counters`` by cover slot, ``halted``, ``cycle`` — with signal
     values read and written by ABI index, as ``VALUE_WORDS`` 64-bit
-    words.  Frees the native state when collected.
+    words.  ``run`` takes the :class:`~repro.backends.api.InputBlock`
+    itself, whose words go to ``repro_step`` as they are.  Frees the
+    native state when collected.
     """
 
     def __init__(self, clib: _CompiledLib) -> None:
@@ -753,10 +805,15 @@ class _NativeState:
     def settle(self) -> None:
         self._clib.settle(self._handle)
 
-    def run(self, cycles: int) -> int:
-        done = int(self._clib.step(self._handle, cycles))
+    def run(self, cycles: int, block: Optional[InputBlock] = None) -> int:
+        clib = self._clib
+        if block is None:
+            done = clib.step(self._handle, cycles, None, 0, None)
+        else:
+            done = clib.step(self._handle, cycles, block.words[0], block.stride,
+                             clib.offsets(block.ports))
         self.cycle += done
-        index = self._clib.halted(self._handle)
+        index = clib.halted(self._handle)
         if index >= 0:
             self.halted = index
         return done
@@ -802,6 +859,10 @@ class CSimulation(VerilatorSimulation):
     @property
     def _clib(self) -> _CompiledLib:
         return self._plan
+
+    def _feed(self, block: InputBlock) -> InputBlock:
+        # the native loop decodes the block's words itself
+        return block
 
     def _new_engine(self):
         state = _NativeState(self._plan)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...passes.base import CompileState
-from ..api import CoverCounts, ScanChainCorruption, StepResult
+from ..api import CoverCounts, InputBlock, ScanChainCorruption, StepResult
 from .resources import FmaxEstimate, Resources, estimate_fmax, estimate_module
 from .scanchain import CoverageScanChainPass, ScanChainInfo
 
@@ -92,6 +92,13 @@ class FireSimSimulation:
 
     def step(self, cycles: int = 1) -> StepResult:
         return self._sim.step(cycles)
+
+    def drive(self, block: InputBlock) -> StepResult:
+        """Pass ``block`` to the host simulation; the scan ports hold their value."""
+        for name, _ in block.ports:
+            if name in ("cover_en", "scan_en", "scan_in"):
+                raise KeyError(f"port {name} is owned by the FireSim driver")
+        return self._sim.drive(block)
 
     @property
     def cycle(self) -> int:

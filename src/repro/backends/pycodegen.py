@@ -27,7 +27,7 @@ from .schedule import Schedule
 #: effect order — must bump it: the content-addressed model cache
 #: (:mod:`repro.backends.modelcache`) mixes it into every cache key, so a
 #: bump invalidates all persisted entries (and C artifacts) at once.
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 RefFn = Callable[[str], str]
 MemFn = Callable[[str], str]
@@ -198,9 +198,12 @@ def render_python(
     schedule's identifiers; ``counters`` is a list of raw counts indexed
     by cover slot (clamping happens at read time).  ``settle()`` runs one
     combinational sweep and stores every signal on the instance;
-    ``run(cycles)`` is the fused loop over :meth:`Schedule.walk` — shared
-    temporaries are its locals, guards are ``if`` blocks — returns the
-    edges it ran and leaves a fired stop's index in ``halted``.
+    ``run(cycles, rows=None)`` is the fused loop over
+    :meth:`Schedule.walk` — shared temporaries are its locals, guards are
+    ``if`` blocks — returns the edges it ran and leaves a fired stop's
+    index in ``halted``.  Its loop takes every input from one row per
+    edge: ``rows`` (a block's per-cycle input values, in input order) or,
+    for a plain step, the held inputs repeated ``cycles`` times.
 
     ``value_probes`` histogram those signals on every edge inside the
     fused loop (``hist_<i>``, the efficient cover-values of §6).
@@ -234,6 +237,7 @@ class _ScalarRenderer:
                 b.emit(f"{name} = self.{name}")
 
         b.emit('"""Generated by repro.backends.pycodegen — do not edit."""')
+        b.emit("from itertools import repeat as _repeat")
         for line in RUNTIME_HELPERS.strip().splitlines():
             b.emit(line)
         b.emit()
@@ -266,18 +270,22 @@ class _ScalarRenderer:
         b.depth -= 1
         b.emit()
 
-        b.emit("def run(self, cycles):")
+        inputs = [ids[p.name] for p in model.inputs]
+        row = ", ".join(inputs) + "," if inputs else ""
+        b.emit("def run(self, cycles, rows=None):")
         b.depth += 1
         b.emit("cnt = self.counters")
         for i in range(len(self.probes)):
             b.emit(f"hist_{i} = self.hist_{i}")
         load()
+        b.emit("if rows is None:")
+        b.emit(f"    rows = _repeat(({row}), cycles)")
         b.emit("halted = None")
         if self.gate:
             b.emit("prev_sig = None")
             b.emit("mem_dirty = True")
         b.emit("done = 0")
-        b.emit("for _ in range(cycles):")
+        b.emit(f"for {row or '_'} in rows:")
         b.depth += 1
         if self.gate:
             b.emit(f"sig = ({''.join(name + ', ' for name in state)})")
@@ -288,8 +296,8 @@ class _ScalarRenderer:
         if model.stops:
             b.emit("if halted is not None: break")
         b.depth -= 1
-        for reg in model.registers:
-            b.emit(f"self.{ids[reg.name]} = {ids[reg.name]}")
+        for name in inputs + [ids[reg.name] for reg in model.registers]:
+            b.emit(f"self.{name} = {name}")
         b.emit("self.halted = halted")
         b.emit("self.cycle += done")
         b.emit("return done")
@@ -396,14 +404,15 @@ def _nz(x):
     return ((x + _HALF) & _TOP) >> _SHS
 
 
-def _sel(c, t, f, m, km):
-    """Packed 2:1 mux: ``c`` holds lane-base condition bits.
+def _sel(s, t, f):
+    """Packed 2:1 mux: ``t`` in the lanes ``s`` selects, ``f`` elsewhere.
 
-    ``m`` is the scalar result mask, ``km`` its lane-replicated form;
-    ``c * m`` spreads each set condition bit across its whole lane.
+    ``s`` is the condition spread over each lane's result bits (the
+    lane-base condition bits times the scalar result mask; the bits
+    themselves for a 1-bit result).  Both arms are raw values in the
+    result width, so ``t ^ f`` never reaches past it.
     """
-    s = c * m
-    return (t & s) | (f & (s ^ km))
+    return f ^ ((t ^ f) & s)
 
 
 def _t1(f, a, ma):
@@ -538,10 +547,8 @@ class SwarmEmitter:
                 self.extend(self.gen(arm), arm.tpe, width)
                 for arm in (expr.tval, expr.fval)
             ]
-            return (
-                f"_sel({cond}, {arms[0]}, {arms[1]}, "
-                f"{mask(width)}, {self.rep(mask(width))})"
-            )
+            spread = cond if width == 1 else f"({cond} * {mask(width)})"
+            return f"_sel({spread}, {arms[0]}, {arms[1]})"
         if isinstance(expr, MemRead):
             addr = self.gen(expr.addr)
             addr_mask = mask(bit_width(expr.addr.tpe))

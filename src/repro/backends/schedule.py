@@ -391,8 +391,9 @@ class Schedule:
         self.ids = pynames(self.names)
         self.mem_ids = {m.name: f"m_{i}" for i, m in enumerate(model.memories)}
         self.ports = model.port_names
-        #: input port name -> mask of its width (what a poke keeps)
-        self.input_masks = {p.name: mask(model.widths[p.name]) for p in model.inputs}
+        #: input port name -> its width, and the mask of it (what a poke keeps)
+        self.input_widths = {p.name: model.widths[p.name] for p in model.inputs}
+        self.input_masks = {name: mask(width) for name, width in self.input_widths.items()}
         #: canonical cover name -> counter slot
         self.slots: dict[str, int] = {}
         #: ``(slot, pred, en)`` per cover statement, in statement order

@@ -31,11 +31,13 @@ Two per-lane caveats, documented rather than papered over:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional
 
+from ..ir.nodes import PrimOp
 from ..ir.types import bit_width, mask
 from ..runtime.telemetry import StepMeter
-from .api import CoverCounts, StepResult, metered_step, saturate
+from .api import CoverCounts, InputBlock, StepResult, metered_step, saturate
 from .model import CircuitModel
 from .modelcache import ModelCache, compile_schedule
 from .pycodegen import (
@@ -97,11 +99,25 @@ class _LaneRenderer:
     def cover(self, slot, pred, en) -> None:
         # the mask used for sampling is the mask at cycle start, so the
         # cycle a lane stops on still counts, exactly like the scalar order
-        fire = self.emitter.predicate(pred, en)
-        if self.masked:
-            fire = f"{fire} & active"
-        self.body.emit(f"_m = {fire}")
-        self.body.emit(f"if _m: _vadd(c_{slot}, _m)")
+        body, emitter = self.body, self.emitter
+        active = " & active" if self.masked else ""
+        if type(pred) is PrimOp and pred.op == "bits" and pred.consts[0] == pred.consts[1]:
+            # a single-bit test (toggle coverage): the enable holds
+            # lane-base bits only, so it masks bit k into place itself,
+            # and for k > 0 an in-place test — one AND, no shift — skips
+            # the cover when no lane has the bit
+            k = pred.consts[0]
+            src, enable = emitter.gen(pred.args[0]), emitter.gen(en)
+            if k:
+                body.emit(f"_m = {src} & {emitter.rep(1 << k)}")
+                body.emit("if _m:")
+                body.emit(f"    _m = {enable} & (_m >> {k}){active}")
+                body.emit(f"    if _m: _vadd(c_{slot}, _m)")
+                return
+            body.emit(f"_m = {enable} & {src}{active}")
+        else:
+            body.emit(f"_m = {emitter.predicate(pred, en)}{active}")
+        body.emit(f"if _m: _vadd(c_{slot}, _m)")
 
     def stop(self, index, pred, en) -> None:
         # claim in statement order: a lane removed by an earlier stop is
@@ -158,13 +174,16 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
     covers, stops, register/memory commit — except every value is a
     packed integer, cover counters are vertical plane lists indexed by
     slot, and a ``ctl`` dict carries the active-lane mask plus per-lane
-    stop bookkeeping across calls.
+    stop bookkeeping across calls.  Like the scalar loop, ``run`` takes
+    every input from one row per edge: ``rows`` (a block's packed
+    inputs) or the held inputs repeated ``cycles`` times.
     """
     schedule = Schedule(model)
     ids, mem_ids = schedule.ids, schedule.mem_ids
     stride = schedule.widest + 2
     emitter = SwarmEmitter(lanes, stride, schedule.refs.__getitem__, mem_ids.__getitem__)
     state = [p.name for p in model.inputs] + [r.name for r in model.registers]
+    row = ", ".join(ids[p.name] for p in model.inputs) + "," if model.inputs else ""
     body = CodeBuilder()
 
     def load() -> None:
@@ -186,7 +205,7 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
     body.emit()
 
     def emit_run(fname: str, masked: bool) -> None:
-        body.emit(f"def {fname}(values, mems, counts, ctl, cycles):")
+        body.emit(f"def {fname}(values, mems, counts, ctl, cycles, rows=None):")
         body.depth += 1
         load()
         for slot in range(len(schedule.slots)):
@@ -196,16 +215,18 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
             body.emit("stop_lane = ctl['stop_lane']")
             body.emit("stop_cycle = ctl['stop_cycle']")
         body.emit("base = ctl['cycle']")
+        body.emit("if rows is None:")
+        body.emit(f"    rows = _repeat(({row}), cycles)")
         body.emit("done = 0")
-        body.emit("for _ in range(cycles):")
+        body.emit(f"for {row or '_'} in rows:")
         body.depth += 1
-        if masked:
-            body.emit("if not active: break")
         schedule.walk(_LaneRenderer(schedule, emitter, body, masked))
         body.emit("done += 1")
+        if masked:
+            body.emit("if not active: break")
         body.depth -= 1
-        for reg in model.registers:
-            body.emit(f"values[{reg.name!r}] = {ids[reg.name]}")
+        for name in state:
+            body.emit(f"values[{name!r}] = {ids[name]}")
         body.emit("ctl['active'] = active")
         body.emit("ctl['cycle'] = base + done")
         body.emit("return done")
@@ -218,6 +239,7 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
 
     head = CodeBuilder()
     head.emit('"""Generated by repro.backends.swarm — do not edit."""')
+    head.emit("from itertools import repeat as _repeat")
     for line in RUNTIME_HELPERS.strip().splitlines():
         head.emit(line)
     head.emit()
@@ -258,8 +280,10 @@ class SwarmSimulation:
     """``lanes`` independent simulations advancing in lock step.
 
     The scalar :class:`~repro.backends.api.Simulation` protocol applies
-    with broadcast semantics: ``poke`` drives every lane, ``peek`` samples
-    lane 0, ``cover_counts()`` reads lane 0.  The lane-addressed surface
+    with broadcast semantics: ``poke`` and a one-lane ``drive`` block
+    drive every lane, ``peek`` samples lane 0, ``cover_counts()`` reads
+    lane 0; a block with one word array per lane drives each lane its
+    own inputs.  The lane-addressed surface
     — ``poke_lane``/``poke_lanes``/``peek_lane``/``cover_counts(lane)``/
     ``merged_cover_counts``/``retire_lane``/``lane_active``/``lane_stop``
     — is what batch harnesses (the fuzzer, a swarm campaign job) drive.
@@ -309,6 +333,16 @@ class SwarmSimulation:
 
     def step(self, cycles: int = 1) -> StepResult:
         return metered_step(self._meter, lambda: self._step(cycles))
+
+    def drive(self, block: InputBlock) -> StepResult:
+        """Apply ``block`` in the packed edge loop, in one call.
+
+        A one-lane block drives every lane alike, like ``poke``; a block
+        of several word arrays drives lane *l* from array *l*, and lanes
+        past the last array from 0, like ``poke_lanes``.
+        """
+        block.check(self._plan.schedule.input_widths, self.lanes)
+        return metered_step(self._meter, lambda: self._step(block.cycles, block))
 
     def cover_counts(self, lane: int = 0) -> CoverCounts:
         """Saturated cover counts for one lane (lane 0 by default).
@@ -428,16 +462,39 @@ class SwarmSimulation:
         self._plan.settle(self._values, self._mems)
         self._dirty = False
 
-    def _step(self, cycles: int) -> StepResult:
+    def _feed(self, block: InputBlock):
+        """One row of packed inputs per edge of ``block``."""
+        lanes = [block.columns(lane) for lane in range(len(block.words))]
+        packed = {}
+        for index, (name, _) in enumerate(block.ports):
+            if len(lanes) == 1:
+                packed[name] = [value * self._rep1 for value in lanes[0][index]]
+                continue
+            column = [0] * block.cycles
+            for lane, columns in enumerate(lanes):
+                shift = lane * self._stride
+                column = [acc | value << shift for acc, value in zip(column, columns[index])]
+            packed[name] = column
+        return zip(*[
+            packed.get(port.name) or repeat(self._values[port.name], block.cycles)
+            for port in self._model.inputs
+        ])
+
+    def _step(self, cycles: int, block: Optional[InputBlock] = None) -> StepResult:
         if cycles <= 0:
             return StepResult(0)
         ctl = self._ctl
+        rows = self._feed(block) if block is not None and block.ports else None
         if not ctl["active"]:
+            if rows is not None:
+                # a halted swarm still takes the first cycle's inputs
+                self._values.update(zip([p.name for p in self._model.inputs], next(rows)))
+                self._dirty = True
             return StepResult(0, True, *self._halt_info())
         run = self._plan.run
         if self._plan.run_full is not None and ctl["active"] == self._rep1:
             run = self._plan.run_full
-        done = run(self._values, self._mems, self._counts, ctl, cycles)
+        done = run(self._values, self._mems, self._counts, ctl, cycles, rows)
         if done:
             self._dirty = True
         if not ctl["active"]:

@@ -24,11 +24,13 @@ from __future__ import annotations
 import io
 import re
 from functools import partial
+from itertools import repeat
 from typing import Optional
 
 from ..ir.nodes import Circuit
 from ..runtime.telemetry import StepMeter
-from .api import CoverCounts, StepResult, metered_step, saturate
+from .api import CoverCounts, InputBlock, StepResult, metered_step, saturate
+from .api import drive as reference_drive
 from .modelcache import CacheEntry, ModelCache, compile_schedule
 from .pycodegen import ScalarPlan, render_python
 from .schedule import Schedule
@@ -102,6 +104,18 @@ class VerilatorSimulation:
     def step(self, cycles: int = 1) -> StepResult:
         return metered_step(self._meter, lambda: self._step(cycles))
 
+    def drive(self, block: InputBlock) -> StepResult:
+        """Apply ``block`` in the engine's own edge loop, in one call.
+
+        The interpreter, and a simulation with watched signals, step one
+        edge at a time through the reference
+        :func:`~repro.backends.api.drive` instead.
+        """
+        block.check(self._schedule.input_widths)
+        if self._watched or self._plan is None:
+            return reference_drive(self, block)
+        return metered_step(self._meter, lambda: self._step(block.cycles, block))
+
     def cover_counts(self) -> CoverCounts:
         counters, width = self._sim.counters, self._counter_width
         return {
@@ -166,12 +180,28 @@ class VerilatorSimulation:
             self._dirty = False
         return self._state[self._keys[name]]
 
-    def _step(self, cycles: int) -> StepResult:
+    def _feed(self, block: InputBlock):
+        """What the engine's ``run`` takes for ``block``: one row of inputs per edge."""
+        columns = dict(zip([name for name, _ in block.ports], block.columns()))
+        state, keys = self._state, self._keys
+        return zip(*[
+            columns.get(port.name) or repeat(state[keys[port.name]], block.cycles)
+            for port in self._schedule.model.inputs
+        ])
+
+    def _step(self, cycles: int, block: Optional[InputBlock] = None) -> StepResult:
         sim = self._sim
         done = 0
         if cycles > 0 and sim.halted is None:
-            done = self._run_watched(cycles) if self._watched else sim.run(cycles)
+            if block is not None and block.ports:
+                done = sim.run(cycles, self._feed(block))
+            else:
+                done = self._run_watched(cycles) if self._watched else sim.run(cycles)
             self._dirty = True
+        elif cycles > 0 and block is not None:
+            # a halted simulation still takes the first cycle's inputs
+            for name, value in block[0].items():
+                self.poke(name, value)
         if cycles <= 0 or sim.halted is None:
             return StepResult(done)
         stop = self._schedule.model.stops[sim.halted]

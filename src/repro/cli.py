@@ -360,7 +360,7 @@ def _simulate_differential(args, spec, checkpointer, executor_options,
         job_id=job_id,
         make_sims=legs,
         cycles=spec.cycles,
-        stimulus=plan.stimulus(),
+        stimulus=plan.blocks(),
         reset_cycles=spec.reset_cycles,
         known_names=plan.names,
         counter_width=spec.counter_width,
@@ -446,6 +446,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
         seed=args.seed,
         worker_id=args.worker_id,
         min_instrument=args.min_instrument,
+        model_cache_dir=args.model_cache_dir,
     )
     worker = ClusterWorker(config)
     print(f"repro worker: {worker.id} connecting to {host}:{port}",
@@ -894,6 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "even when the spec does not request it; the final "
                         "counts a shard reports are reconstructed and "
                         "bit-identical either way")
+    p.add_argument("--model-cache-dir", metavar="DIR",
+                   help="content-addressed compiled-model cache shared by "
+                        "all leased shards")
     p.set_defaults(fn=cmd_worker)
 
     p = sub.add_parser(

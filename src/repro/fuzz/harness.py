@@ -6,7 +6,8 @@ top-level input port: each clock cycle consumes ``ceil(total_input_bits/8)``
 bytes, sliced bitwise across the ports.  The design is reset once, then
 driven until the input bytes run out (a partial trailing chunk is
 zero-padded and still counts as a cycle, so every appended byte changes
-the decoded stimulus).
+the decoded stimulus) — one :class:`~repro.backends.api.InputBlock`, so
+an execution is one ``drive`` call.
 
 The *feedback* function is pluggable: because every metric is just cover
 statements behind the shared API, any instrumented metric — line, toggle,
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..backends.api import CoverCounts
+from ..backends.api import CoverCounts, InputBlock
 from ..coverage.common import CoverageDB, InstanceTree
 from ..passes.base import CompileState
 
@@ -99,26 +100,32 @@ class FuzzHarness:
         self.executions = 0
         self.cycles_executed = 0
 
-    def decode(self, data: bytes) -> list[dict[str, int]]:
-        """Deterministically decode bytes into per-cycle input vectors.
+    def decode(self, data: bytes) -> InputBlock:
+        """Deterministically decode bytes into a block of per-cycle inputs.
 
         Ceil division: a partial trailing chunk is zero-padded into a
         full cycle rather than dropped, so appending a single byte to an
         input always changes the decoded stimulus.
         """
-        vectors = []
-        n_cycles = -(-len(data) // self.bytes_per_cycle)
-        n_cycles = min(max(n_cycles, 1), self.max_cycles)
+        return InputBlock.encode(
+            [(port.name, port.width) for port in self.ports], self._rows(data)
+        )
+
+    def _rows(self, data: bytes) -> list[list[int]]:
+        """Per decoded cycle, each port's value."""
+        size = self.bytes_per_cycle
+        n_cycles = min(max(-(-len(data) // size), 1), self.max_cycles)
+        slices = []
+        offset = 0
+        for port in self.ports:
+            slices.append((offset, (1 << port.width) - 1))
+            offset += port.width
+        rows = []
         for cycle in range(n_cycles):
-            chunk = data[cycle * self.bytes_per_cycle : (cycle + 1) * self.bytes_per_cycle]
-            value = int.from_bytes(chunk.ljust(self.bytes_per_cycle, b"\0"), "little")
-            frame = {}
-            offset = 0
-            for port in self.ports:
-                frame[port.name] = (value >> offset) & ((1 << port.width) - 1)
-                offset += port.width
-            vectors.append(frame)
-        return vectors
+            chunk = data[cycle * size : (cycle + 1) * size]
+            value = int.from_bytes(chunk, "little")
+            rows.append([(value >> at) & keep for at, keep in slices])
+        return rows
 
     def _fresh_sim(self):
         template = self._template
@@ -140,14 +147,10 @@ class FuzzHarness:
         """Run one fuzz input from reset; returns this run's cover counts."""
         sim = self._fresh_sim()
         self._reset(sim)
-        vectors = self.decode(data)
-        for frame in vectors:
-            for name, value in frame.items():
-                sim.poke(name, value)
-            result = sim.step(1)
-            self.cycles_executed += 1
-            if result.stopped:
-                break
+        result = sim.drive(self.decode(data))
+        # a design that reset already stopped still spent its one
+        # attempted cycle, as a swarm lane does
+        self.cycles_executed += max(result.cycles, 1)
         self.executions += 1
         return sim.cover_counts()
 
@@ -172,7 +175,7 @@ class FuzzHarness:
         for lane in range(n, sim.lanes):
             sim.retire_lane(lane)
         self._reset(sim)
-        frames = [self.decode(data) for data in chunk]
+        frames = [self._rows(data) for data in chunk]
         done = [False] * n
         cycle = 0
         while True:
@@ -189,11 +192,11 @@ class FuzzHarness:
                 live.append(lane)
             if not live:
                 break
-            for port in self.ports:
+            for index, port in enumerate(self.ports):
                 sim.poke_lanes(
                     port.name,
                     [
-                        frames[lane][cycle][port.name]
+                        frames[lane][cycle][index]
                         if not done[lane] and cycle < len(frames[lane])
                         else 0
                         for lane in range(n)

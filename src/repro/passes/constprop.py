@@ -91,7 +91,9 @@ def simplify_expr(expr: Expr) -> Expr:
             return make_literal(1, expr.type)
     elif expr.op == "not":
         inner = args[0]
-        if isinstance(inner, PrimOp) and inner.op == "not" and inner.type == expr.type:
+        # not() of a signed value is unsigned: only an operand of the
+        # result's own type can stand in for not(not(x))
+        if isinstance(inner, PrimOp) and inner.op == "not" and inner.args[0].tpe == expr.type:
             return inner.args[0]
     elif expr.op == "bits":
         hi, lo = expr.consts

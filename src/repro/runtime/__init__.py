@@ -80,6 +80,7 @@ from .executor import (
     Executor,
     RunJob,
     RunOutcome,
+    poked_blocks,
     run_campaign,
 )
 from .faults import (
@@ -197,6 +198,7 @@ __all__ = [
     "quorum_merge",
     "replay",
     "rlimit_as_enforceable",
+    "poked_blocks",
     "run_campaign",
     "run_process_attempt",
     "validate_shard_counts",

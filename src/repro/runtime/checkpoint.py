@@ -143,17 +143,6 @@ class Checkpointer:
         """Whether a checkpoint should be written after ``cycle`` cycles."""
         return self.every > 0 and cycle % self.every == 0
 
-    def next_due(self, cycle: int) -> int:
-        """The first checkpoint boundary strictly after ``cycle``.
-
-        Lets batched drivers size a ``step(n)`` block so it lands exactly
-        on the boundary instead of stepping past it.  Undefined (raises)
-        when periodic checkpoints are off — callers must check ``every``.
-        """
-        if self.every <= 0:
-            raise ValueError("next_due requires a periodic checkpointer")
-        return (cycle // self.every + 1) * self.every
-
     def write(self, shard: Shard) -> Optional[Path]:
         """Atomically persist ``shard``; returns the shard file path.
 

@@ -560,6 +560,9 @@ class WorkerConfig:
     #: does not request it; the ``done`` frame still carries full counts
     #: because :func:`~repro.runtime.service.execute_spec` reconstructs
     min_instrument: bool = False
+    #: persist compiled models and campaign manifests here, as ``repro
+    #: serve --model-cache-dir`` does, so a repeated spec skips its front half
+    model_cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.slots < 1:
@@ -618,6 +621,10 @@ class ClusterWorker:
 
     def run(self) -> int:
         """Connect (and reconnect) until stopped; returns an exit code."""
+        if self.config.model_cache_dir:
+            from ..backends import ModelCache, set_default_cache
+
+            set_default_cache(ModelCache(self.config.model_cache_dir))
         attempts_left = self.config.reconnect
         rng = random.Random(f"{self.config.seed}:{self.id}:reconnect")
         attempt = 0

@@ -27,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from ..backends.api import CoverCounts
-from .executor import Executor, RunJob, RunOutcome, Stimulus
+from ..backends.api import BlockSource, CoverCounts
+from .executor import Executor, RunJob, RunOutcome
 from .telemetry import obs
 from .validate import QuarantineReport, QuarantinedShard, ShardIssue, validate_shard_counts
 
@@ -237,15 +237,16 @@ class DifferentialRunner:
         job_id: str,
         make_sims: dict[str, Callable[[], object]],
         cycles: int,
-        stimulus: Optional[Stimulus] = None,
+        stimulus: Optional[BlockSource] = None,
         reset_cycles: int = 1,
         known_names: Optional[Iterable[str]] = None,
         counter_width: Optional[int] = None,
     ) -> DifferentialResult:
         """Execute ``job_id`` once per backend in ``make_sims`` and vote.
 
-        Every factory must replay *identical* stimulus (seeded RNGs reset
-        per attempt) or honest backends will disagree with each other.
+        Every leg drives the same ``stimulus`` block source (re-seeded at
+        cycle 0 of every attempt) — identical inputs, or honest backends
+        will disagree with each other.
         Legs that fail validation against ``known_names``/``counter_width``
         are quarantined and excluded from the vote, as are legs that did
         not run to completion (a partial leg's lower counts are legitimate,

@@ -38,7 +38,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..backends.api import (
+    BlockSource,
     CoverCounts,
+    InputBlock,
     RunFailure,
     SimulationTimeout,
     hold_reset,
@@ -48,6 +50,7 @@ from .checkpoint import Checkpointer, Shard, ShardError
 from .procworker import (
     ResourceLimits,
     SupervisionPolicy,
+    block_cycles,
     process_isolation_available,
     run_process_attempt,
 )
@@ -56,8 +59,50 @@ from .validate import QuarantineReport, QuarantinedShard, ShardIssue, merge_shar
 
 logger = logging.getLogger(__name__)
 
-#: drives a simulation for one cycle: (sim, cycle) -> None (pokes only)
-Stimulus = Callable[[object, int], None]
+
+def poked_blocks(stimulus: Callable[[object, int], None],
+                 widths: dict[str, int]) -> BlockSource:
+    """A block source recording a per-cycle testbench's pokes.
+
+    ``stimulus(sim, cycle)`` is a testbench that only pokes; each block
+    calls it once per cycle on a recorder and names the ports it poked,
+    in ``widths`` order (``{name: width}``, as
+    :func:`~repro.backends.api.input_widths` gives it).  A port's value
+    before its first poke is the last one recorded, 0 from cycle 0 — the
+    value every input holds after reset.  Raises ``KeyError`` for a poke
+    of a port missing from ``widths``.
+    """
+    return _PokeRecorder(stimulus, widths)
+
+
+class _PokeRecorder:
+    """The simulation a per-cycle testbench pokes (see :func:`poked_blocks`)."""
+
+    def __init__(self, stimulus, widths: dict[str, int]) -> None:
+        self._stimulus = stimulus
+        self._widths = widths
+        self._values: dict[str, int] = {}
+        self._poked: set[str] = set()
+
+    def poke(self, port: str, value: int) -> None:
+        if port not in self._widths:
+            raise KeyError(f"no such input port: {port}")
+        self._values[port] = value
+        self._poked.add(port)
+
+    def __call__(self, cycle: int, n: int) -> InputBlock:
+        if cycle == 0:
+            self._values = dict.fromkeys(self._widths, 0)
+        self._poked = set()
+        rows = []
+        for k in range(cycle, cycle + n):
+            self._stimulus(self, k)
+            rows.append(dict(self._values))
+        names = [name for name in self._widths if name in self._poked]
+        return InputBlock.encode(
+            [(name, self._widths[name]) for name in names],
+            [[row[name] for name in names] for row in rows],
+        )
 
 
 @dataclass
@@ -66,7 +111,11 @@ class RunJob:
 
     ``make_sim`` is a zero-argument factory returning a *fresh* simulation
     — called once per attempt, so retries never reuse a poisoned instance.
-    ``stimulus`` (optional) pokes inputs before each cycle's ``step(1)``.
+    ``stimulus`` (optional) is a block source, ``(cycle, n) ->
+    InputBlock``: the run loop asks it for each block of inputs in turn,
+    from cycle 0 on every attempt, and ``drive``s the simulation with it
+    (:func:`poked_blocks` adapts a per-cycle poking testbench).  Without
+    one the loop only ``step``s.
     ``read_counts(sim)`` is what the job reports — at every checkpoint,
     heartbeat and at the end: ``cover_counts()`` by default, the
     lane-merged ``merged_cover_counts()`` for a swarm job.
@@ -76,7 +125,7 @@ class RunJob:
     backend_name: str
     make_sim: Callable[[], object]
     cycles: int
-    stimulus: Optional[Stimulus] = None
+    stimulus: Optional[BlockSource] = None
     reset_cycles: int = 1
     read_counts: Callable[[object], CoverCounts] = operator.methodcaller(
         "cover_counts"
@@ -474,25 +523,24 @@ class Executor:
     def _drive(self, job: RunJob, worker: _Attempt) -> None:
         """The attempt body (runs on the worker thread).
 
-        Per-cycle stimulus forces single stepping; without it, cycles
-        are batched into ``step(n)`` blocks bounded only by checkpoint
-        boundaries, amortizing the step-call overhead (and per-block
+        One block loop: each block runs to the next checkpoint boundary
+        or multiple of :data:`~repro.runtime.procworker.BLOCK_CYCLES`,
+        whichever comes first, in one ``drive`` (or, without stimulus,
+        one ``step``) call, amortizing the call overhead (and per-block
         telemetry) over the whole block.
         """
         sim = job.make_sim()
         hold_reset(sim, job.reset_cycles)
+        every = self.checkpointer.every if self.checkpointer else 0
         cycle = 0
         while cycle < job.cycles:
             if worker.abandoned.is_set():
                 return  # watchdog gave up on this attempt; leave no traces
+            size = block_cycles(cycle, job.cycles, every)
             if job.stimulus is not None:
-                job.stimulus(sim, cycle)
-                block = 1
+                result = sim.drive(job.stimulus(cycle, size))
             else:
-                block = job.cycles - cycle
-                if self.checkpointer and self.checkpointer.every > 0:
-                    block = min(block, self.checkpointer.next_due(cycle) - cycle)
-            result = sim.step(block)
+                result = sim.step(size)
             cycle += result.cycles
             worker.cycles_run = cycle
             if (
@@ -511,10 +559,8 @@ class Executor:
                     )
                 )
                 self._report_progress(job.job_id, cycle, counts)
-            if result.stopped:
-                break
-            if result.cycles == 0:
-                break  # defensive: a sim refusing to advance must not spin
+            if result.stopped or result.cycles < size:
+                break  # a stop, or a sim refusing to advance
         if worker.abandoned.is_set():
             return
         worker.counts = dict(job.read_counts(sim))

@@ -24,9 +24,11 @@ from typing import Optional
 
 from ..backends.api import (
     CoverCounts,
+    InputBlock,
     SimulationCrash,
     StepResult,
 )
+from ..backends.api import drive as reference_drive
 
 
 class PowerLoss(BaseException):
@@ -193,6 +195,10 @@ class FaultySimulation:
         return self._sim.peek(port)
 
     # -- injected step faults --------------------------------------------------
+
+    def drive(self, block: InputBlock) -> StepResult:
+        """The reference poke/``step(1)`` loop, so each fault lands on its cycle."""
+        return reference_drive(self, block)
 
     def _faulting_attempt(self) -> bool:
         return self.plan.fail_attempts == 0 or self.attempt <= self.plan.fail_attempts

@@ -58,6 +58,25 @@ ERROR = "error"
 SPANS = "spans"
 COUNTERS = "counters"
 
+#: the longest block a run loop hands a simulation: the period of the
+#: stimulus's cancel check (and of a thread attempt's abandonment check)
+BLOCK_CYCLES = 4096
+
+
+def block_cycles(cycle: int, total: int, *periods: int) -> int:
+    """Cycles in the block a run loop drives from ``cycle``.
+
+    Up to ``total`` cycles, ending at the next multiple of
+    :data:`BLOCK_CYCLES` and of every non-zero period in ``periods``
+    (checkpoints, heartbeats), so each boundary falls between blocks.
+    """
+    size = total - cycle
+    for period in (BLOCK_CYCLES, *periods):
+        if period:
+            size = min(size, period - cycle % period)
+    return size
+
+
 # Executor-level attempt number, set in the child before the job factory
 # runs.  Fault injectors (FaultyBackend) use it to model transient faults
 # correctly under fork: the child's copy of the backend starts from the
@@ -302,23 +321,15 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
         last_batch_cycle = 0
         cycle = 0
         while cycle < job.cycles:
+            # blocks end on heartbeat and checkpoint boundaries, so beat
+            # and shard cadence stay exactly as single-stepped
+            size = block_cycles(
+                cycle, job.cycles, policy.heartbeat_cycles, checkpoint_every
+            )
             if job.stimulus is not None:
-                # per-cycle stimulus pins the driver to single stepping
-                job.stimulus(sim, cycle)
-                block = 1
+                result = sim.drive(job.stimulus(cycle, size))
             else:
-                # batch up to the next heartbeat/checkpoint boundary so
-                # beat and shard cadence stay exactly as single-stepped
-                block = job.cycles - cycle
-                block = min(
-                    block,
-                    policy.heartbeat_cycles - cycle % policy.heartbeat_cycles,
-                )
-                if checkpoint_every:
-                    block = min(
-                        block, checkpoint_every - cycle % checkpoint_every
-                    )
-            result = sim.step(block)
+                result = sim.step(size)
             cycle += result.cycles
             cycles_done = cycle
             if result.cycles and cycles_done % policy.heartbeat_cycles == 0:
@@ -336,10 +347,8 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
                 ):
                     conn.send((SHARD, cycles_done, dict(job.read_counts(sim))))
                 _flush_telemetry(conn, baseline)
-            if result.stopped:
-                break
-            if result.cycles == 0:
-                break  # defensive: a sim refusing to advance must not spin
+            if result.stopped or result.cycles < size:
+                break  # a stop, or a sim refusing to advance
         if obs.enabled:
             if cycles_done > last_batch_cycle:
                 mark_batch(cycles_done - last_batch_cycle)

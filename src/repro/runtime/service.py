@@ -59,10 +59,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional
 
+from ..backends.api import BlockSource, InputBlock, input_widths
 from .breaker import BreakerBoard
 from .checkpoint import Checkpointer, Shard
 from .cluster import ClusterCoordinator, LiveCoverage
-from .executor import CampaignResult, Executor, RunJob, Stimulus
+from .executor import CampaignResult, Executor, RunJob
 from .journal import Journal
 from .telemetry import obs
 
@@ -357,7 +358,8 @@ class PreparedCampaign:
     and instrumented only when a backend's compile misses.
 
     It hands out what a run needs — a compile factory per backend, the
-    seeded stimulus, and reconstruction of the elided covers.
+    seeded stimulus as a block source, and reconstruction of the elided
+    covers.
     :func:`execute_spec` drives them through the executor, ``repro
     simulate --differential`` through the differential runner.
     """
@@ -419,9 +421,8 @@ class PreparedCampaign:
         return {
             "names": all_cover_names(circuit, tree),
             "inputs": [
-                [p.name, getattr(p.type, "width", 1) or 1]
-                for p in circuit.top.inputs
-                if p.name not in ("clock", "reset")
+                [name, width] for name, width in input_widths(circuit).items()
+                if name != "reset"
             ],
             "recipes": (
                 self._min_db.expand_recipes(tree) if self._min_db is not None else []
@@ -437,38 +438,38 @@ class PreparedCampaign:
         circuit, width = self._circuit, self.spec.counter_width
         return lambda: backend.compile(circuit, counter_width=width)
 
-    def stimulus(self, lanes: int = 1,
-                 cancel_event: Optional[threading.Event] = None
-                 ) -> Optional[Stimulus]:
-        """The per-cycle stimulus: the cancel check and seeded random inputs.
+    def blocks(self, lanes: int = 1,
+               cancel_event: Optional[threading.Event] = None
+               ) -> Optional[BlockSource]:
+        """The stimulus, one block at a time: seeded random inputs and the cancel check.
 
-        The RNGs re-seed at cycle 0, so every attempt replays the same
-        inputs.  With ``lanes > 1`` (a swarm job) lane *l* replays the
-        stream of ``seed + l``; with one lane a poke drives every lane
-        alike.  None when there is nothing to do per cycle, so the
-        executor steps in blocks.
+        A block of ``n`` cycles is ``randbytes(4 * stride * n)`` from each
+        lane's RNG — the words ``getrandbits`` would draw for each driven
+        input, cycle by cycle, in port order — so the inputs are those of
+        per-cycle draws whatever the block boundaries.  The RNGs re-seed
+        at cycle 0, so every attempt replays the same inputs; with
+        ``lanes > 1`` (a swarm job) lane *l* replays the stream of
+        ``seed + l``, and one lane drives every lane alike.  Each block
+        first runs the cancel check.  None when there is neither random
+        input nor a cancel flag, so the run loop only steps.
         """
         spec = self.spec
         if not spec.random_inputs and cancel_event is None:
             return None
-        seed, inputs = spec.seed, self._inputs if spec.random_inputs else ()
-        rngs = [random.Random() for _ in range(lanes)]
-        draw = rngs[0].getrandbits
+        ports = tuple(self._inputs) if spec.random_inputs else ()
+        stride = sum((width + 31) >> 5 for _, width in ports)
+        rngs = [random.Random() for _ in range(lanes if ports else 1)]
 
-        def stimulus(sim, cycle):
+        def source(cycle: int, n: int) -> InputBlock:
             if cancel_event is not None and cancel_event.is_set():
                 raise CampaignCancelled("cancelled")
             if not cycle:
                 for lane, rng in enumerate(rngs):
-                    rng.seed(seed + lane)
-            if lanes == 1:
-                for name, width in inputs:
-                    sim.poke(name, draw(width))
-            else:
-                for name, width in inputs:
-                    sim.poke_lanes(name, [rng.getrandbits(width) for rng in rngs])
+                    rng.seed(spec.seed + lane)
+            words = tuple(rng.randbytes(4 * stride * n) for rng in rngs)
+            return InputBlock(ports, n, words)
 
-        return stimulus
+        return source
 
     def reconstruct(self, counts: dict) -> dict:
         """Full counts from the basis counts shards, WAL and deltas carry."""
@@ -549,7 +550,7 @@ def execute_spec(
         backend_name=spec.backend,
         make_sim=plan.make_sim(backend),
         cycles=spec.cycles,
-        stimulus=plan.stimulus(backend.lanes if swarm else 1, cancel_event),
+        stimulus=plan.blocks(backend.lanes if swarm else 1, cancel_event),
         reset_cycles=spec.reset_cycles,
     )
     if swarm:

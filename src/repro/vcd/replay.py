@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..backends.api import CoverCounts
+from ..backends.api import CoverCounts, InputBlock, StepResult
 from .reader import VcdData, parse_vcd
 from .writer import VcdRecorder
 
@@ -29,7 +29,13 @@ def record_inputs(sim, input_widths: dict[str, int], drive: Callable, cycles: in
 
 
 class InputReplay:
-    """Replays recorded input vectors into a simulation."""
+    """Replays recorded input vectors into a simulation.
+
+    The recording becomes one :class:`~repro.backends.api.InputBlock` at
+    load, so a replay is one ``drive`` call: the cycle loop runs inside
+    the simulation, never in Python.  ``inputs`` picks the recorded
+    signals to drive (default: every signal but ``clock``).
+    """
 
     def __init__(self, vcd_text_or_data, inputs: Optional[list[str]] = None) -> None:
         data = (
@@ -38,26 +44,20 @@ class InputReplay:
             else parse_vcd(vcd_text_or_data)
         )
         self.data = data
-        names = inputs if inputs is not None else list(data.signals)
-        self.vectors = data.as_cycles(names)
+        names = inputs if inputs is not None else [n for n in data.signals if n != "clock"]
         self.names = names
+        self.block = InputBlock.encode(
+            [(name, data.signals[name]) for name in names],
+            ([vector[name] for name in names] for vector in data.as_cycles(names)),
+        )
 
     @property
     def cycles(self) -> int:
-        return len(self.vectors)
+        return self.block.cycles
 
-    def run(self, sim, cycles: Optional[int] = None) -> None:
-        """Poke each recorded vector and step, for ``cycles`` (default all)."""
-        limit = self.cycles if cycles is None else min(cycles, self.cycles)
-        poke = sim.poke
-        step = sim.step
-        previous: dict[str, int] = {}
-        for vector in self.vectors[:limit]:
-            for name, value in vector.items():
-                if previous.get(name) != value:
-                    poke(name, value)
-                    previous[name] = value
-            step(1)
+    def run(self, sim, cycles: Optional[int] = None) -> StepResult:
+        """Drive the recorded inputs, for ``cycles`` (default all)."""
+        return sim.drive(self.block if cycles is None else self.block[:cycles])
 
 
 def replay_counts(backend, state_or_circuit, replay: InputReplay) -> CoverCounts:

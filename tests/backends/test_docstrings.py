@@ -41,7 +41,10 @@ ABI_STRICT = {
         "Simulation.poke",
         "Simulation.peek",
         "Simulation.step",
+        "Simulation.drive",
         "Simulation.cover_counts",
+        "InputBlock",
+        "drive",
         "SimulatorBackend",
         "SimulatorBackend.compile",
         "SimulatorBackend.compile_state",

@@ -25,6 +25,7 @@ from repro.analysis.implication import (
     minimize_circuit,
 )
 from repro.backends import BACKENDS, TreadleBackend
+from repro.backends.api import input_widths
 from repro.coverage import InstanceTree, all_cover_names, instrument
 from repro.coverage.common import CoverageDB, CoverageDBError
 from repro.ir.nodes import (
@@ -41,6 +42,7 @@ from repro.ir.nodes import (
     not_,
 )
 from repro.runtime.differential import DifferentialRunner
+from repro.runtime.executor import poked_blocks
 
 # -- expression helpers -------------------------------------------------------
 
@@ -371,7 +373,7 @@ def test_every_registered_backend_votes_bit_identical():
             "min-instrument-diff",
             {name: make_sim(cls) for name, cls in BACKENDS.items()},
             cycles=cycles,
-            stimulus=stimulus,
+            stimulus=poked_blocks(stimulus, input_widths(state.circuit)),
             known_names=all_cover_names(state.circuit),
             counter_width=width,
         )

@@ -13,6 +13,7 @@ merged report must contain:
 import pytest
 
 from repro.backends import EssentBackend, TreadleBackend, VerilatorBackend
+from repro.backends.api import input_widths
 from repro.coverage import all_cover_names, instrument, merge_counts
 from repro.designs.gcd import Gcd
 from repro.hcl import elaborate
@@ -22,6 +23,7 @@ from repro.runtime import (
     FaultPlan,
     FaultyBackend,
     RunJob,
+    poked_blocks,
 )
 
 pytestmark = pytest.mark.faults
@@ -61,15 +63,16 @@ class TestResilientCampaign:
         corrupting = FaultyBackend(
             EssentBackend(), FaultPlan(corrupt_keys=2, negate_keys=1, seed=22)
         )
+        blocks = poked_blocks(stimulus, input_widths(state.circuit))
         jobs = [
             RunJob("healthy-treadle", "treadle",
-                   lambda: TreadleBackend().compile_state(state), CYCLES, stimulus),
+                   lambda: TreadleBackend().compile_state(state), CYCLES, blocks),
             RunJob("healthy-verilator", "verilator",
-                   lambda: VerilatorBackend().compile_state(state), CYCLES, stimulus),
+                   lambda: VerilatorBackend().compile_state(state), CYCLES, blocks),
             RunJob("crashing-treadle", "faulty-treadle",
-                   lambda: crashing.compile_state(state), CYCLES, stimulus),
+                   lambda: crashing.compile_state(state), CYCLES, blocks),
             RunJob("corrupting-essent", "faulty-essent",
-                   lambda: corrupting.compile_state(state), CYCLES, stimulus),
+                   lambda: corrupting.compile_state(state), CYCLES, blocks),
         ]
         executor = Executor(
             timeout=60, retries=1, checkpointer=checkpointer, sleep=lambda s: None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backends import TreadleBackend
+from repro.backends.api import input_widths
 from repro.coverage import all_cover_names, instrument
 from repro.designs.gcd import Gcd
 from repro.hcl import elaborate
@@ -13,6 +14,7 @@ from repro.runtime import (
     FaultPlan,
     FaultyBackend,
     RunJob,
+    poked_blocks,
 )
 
 
@@ -105,6 +107,11 @@ def gcd_stimulus(sim, cycle):
     sim.poke("resp_ready", 1)
 
 
+def gcd_blocks(state):
+    """``gcd_stimulus`` as the block source a ``RunJob`` drives."""
+    return poked_blocks(gcd_stimulus, input_widths(state.circuit))
+
+
 @pytest.mark.faults
 class TestCampaignIntegration:
     """Acceptance: broken backend's remaining jobs are skipped, not failed."""
@@ -121,7 +128,7 @@ class TestCampaignIntegration:
                 backend_name,
                 lambda: backend.compile_state(gcd_state),
                 cycles=60,
-                stimulus=gcd_stimulus,
+                stimulus=gcd_blocks(gcd_state),
             )
 
         healthy = TreadleBackend()
@@ -173,7 +180,7 @@ class TestCampaignIntegration:
                 "treadle",
                 lambda: transient.compile_state(gcd_state),
                 cycles=60,
-                stimulus=gcd_stimulus,
+                stimulus=gcd_blocks(gcd_state),
             )
 
         # attempts 1 and 2 fault (fail_attempts=2), tripping the breaker;

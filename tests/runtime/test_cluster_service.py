@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.backends import set_default_cache
 from repro.coverage import instrument
 from repro.designs.gcd import Gcd
 from repro.hcl import elaborate
@@ -215,6 +216,42 @@ class TestRemoteDispatch:
         finally:
             worker.stop()
             thread.join(timeout=10)
+
+    def test_worker_model_cache_serves_a_repeated_spec_its_manifest(
+        self, cluster_service, tmp_path, gcd_text
+    ):
+        """``repro worker --model-cache-dir``: the second lease of a spec
+        loads the manifest the first one stored."""
+        service = cluster_service()
+        obs.enable()
+        worker = ClusterWorker(WorkerConfig(
+            host="127.0.0.1", port=service.cluster_port, slots=1,
+            state_dir=tmp_path / "worker",
+            model_cache_dir=str(tmp_path / "model-cache"),
+        ))
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            wait_for(
+                lambda: http(service, "GET", "/healthz")[1]
+                .get("cluster", {}).get("workers"),
+                message="worker registration",
+            )
+            for seed in (7, 8):
+                code, payload = http(service, "POST", "/submit",
+                                     make_spec(gcd_text, seed=seed).to_json_obj())
+                assert code == 202
+                assert wait_status(service, payload["id"], {"done"})["status"] == "done"
+            assert metric_total(
+                service, "repro_cluster_dispatches_total", mode="remote"
+            ) == 2
+            prepares = [e["args"]["manifest"] for e in obs.tracer.events()
+                        if e.get("name") == "prepare"]
+            assert prepares == ["miss", "hit"]
+        finally:
+            worker.stop()
+            thread.join(timeout=10)
+            set_default_cache(None)
 
     def test_zero_workers_degrades_to_local_pool(
         self, cluster_service, tmp_path, gcd_text

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.backends import EssentBackend, TreadleBackend, VerilatorBackend
+from repro.backends.api import input_widths
 from repro.coverage import all_cover_names, instrument
 from repro.designs.gcd import Gcd
 from repro.hcl import elaborate
@@ -13,6 +14,7 @@ from repro.runtime import (
     Executor,
     FaultPlan,
     FaultyBackend,
+    poked_blocks,
     quorum_merge,
 )
 
@@ -73,6 +75,11 @@ def gcd_stimulus(sim, cycle):
     sim.poke("resp_ready", 1)
 
 
+def gcd_blocks(state):
+    """``gcd_stimulus`` as the block source a ``RunJob`` drives."""
+    return poked_blocks(gcd_stimulus, input_widths(state.circuit))
+
+
 def honest_counts(gcd_state, cycles=60):
     sim = TreadleBackend().compile_state(gcd_state)
     sim.poke("reset", 1)
@@ -98,7 +105,7 @@ class TestDifferentialRunner:
                 "verilator": lambda: VerilatorBackend().compile_state(gcd_state),
             },
             cycles=60,
-            stimulus=gcd_stimulus,
+            stimulus=gcd_blocks(gcd_state),
             known_names=all_cover_names(gcd_state.circuit),
         )
         assert result.agreed
@@ -122,7 +129,7 @@ class TestDifferentialRunner:
                 "essent": lambda: liar.compile_state(gcd_state),
             },
             cycles=60,
-            stimulus=gcd_stimulus,
+            stimulus=gcd_blocks(gcd_state),
             known_names=names,
         )
         # the lie really was plausible: every key in-namespace, every count
@@ -160,7 +167,7 @@ class TestDifferentialRunner:
                 "essent": lambda: crashing.compile_state(gcd_state),
             },
             cycles=60,
-            stimulus=gcd_stimulus,
+            stimulus=gcd_blocks(gcd_state),
         )
         assert result.report.voters == ["treadle", "verilator"]
         assert "essent" in result.report.excluded
@@ -181,7 +188,7 @@ class TestDifferentialRunner:
                 "essent": lambda: corrupting.compile_state(gcd_state),
             },
             cycles=60,
-            stimulus=gcd_stimulus,
+            stimulus=gcd_blocks(gcd_state),
             known_names=all_cover_names(gcd_state.circuit),
         )
         assert result.report.excluded == {"essent": "failed shard validation"}

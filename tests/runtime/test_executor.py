@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.backends import SimulationCrash, TreadleBackend
+from repro.backends.api import input_widths
 from repro.coverage import all_cover_names, instrument
 from repro.designs.gcd import Gcd
 from repro.hcl import elaborate
@@ -14,6 +15,7 @@ from repro.runtime import (
     FaultPlan,
     FaultyBackend,
     RunJob,
+    poked_blocks,
 )
 
 pytestmark = pytest.mark.faults
@@ -31,13 +33,18 @@ def gcd_stimulus(sim, cycle):
     sim.poke("resp_ready", 1)
 
 
+def gcd_blocks(state):
+    """``gcd_stimulus`` as the block source a ``RunJob`` drives."""
+    return poked_blocks(gcd_stimulus, input_widths(state.circuit))
+
+
 def make_job(backend, gcd_state, job_id="job", cycles=60):
     return RunJob(
         job_id=job_id,
         backend_name=getattr(backend, "name", "backend"),
         make_sim=lambda: backend.compile_state(gcd_state),
         cycles=cycles,
-        stimulus=gcd_stimulus,
+        stimulus=gcd_blocks(gcd_state),
     )
 
 
@@ -196,7 +203,7 @@ class TestAbandonedAttempts:
             sims.append(sim)
             return sim
 
-        job = RunJob("leaky", "treadle", make_sim, 60, gcd_stimulus)
+        job = RunJob("leaky", "treadle", make_sim, 60, gcd_blocks(gcd_state))
         executor = Executor(timeout=0.3, retries=1, sleep=lambda s: None)
         with caplog.at_level("WARNING", logger="repro.runtime.executor"):
             result = executor.run_campaign([job])
@@ -232,7 +239,7 @@ class TestAbandonedAttempts:
             sims.append(sim)
             return sim
 
-        job = RunJob("straggler", "treadle", make_sim, 60, gcd_stimulus)
+        job = RunJob("straggler", "treadle", make_sim, 60, gcd_blocks(gcd_state))
         checkpointer = Checkpointer(tmp_path, every=10)
         executor = Executor(
             timeout=0.3, retries=1, checkpointer=checkpointer, sleep=lambda s: None
@@ -267,7 +274,7 @@ class TestCampaign:
             calls.append(1)
             return TreadleBackend().compile_state(gcd_state)
 
-        job2 = RunJob("stable", "treadle", tracked_make_sim, 60, gcd_stimulus)
+        job2 = RunJob("stable", "treadle", tracked_make_sim, 60, gcd_blocks(gcd_state))
         second = executor.run_campaign([job2], known_names=names, resume=True)
         assert second.outcomes[0].status == "resumed"
         assert not calls  # never re-simulated
@@ -305,8 +312,8 @@ class TestCampaign:
             return make_sim
 
         jobs = [
-            RunJob("done", "treadle", tracked("done"), 60, gcd_stimulus),
-            RunJob("half", "treadle", tracked("half"), 100, gcd_stimulus),
+            RunJob("done", "treadle", tracked("done"), 60, gcd_blocks(gcd_state)),
+            RunJob("half", "treadle", tracked("half"), 100, gcd_blocks(gcd_state)),
         ]
         result = second.run_campaign(jobs, known_names=names, resume=True)
         statuses = {o.job_id: o.status for o in result.outcomes}

@@ -11,10 +11,18 @@ import json
 import pytest
 
 from repro.backends import TreadleBackend
+from repro.backends.api import input_widths
 from repro.coverage import instrument
 from repro.designs.gcd import Gcd
 from repro.hcl import elaborate
-from repro.runtime import BreakerBoard, Executor, FaultPlan, FaultyBackend, RunJob
+from repro.runtime import (
+    BreakerBoard,
+    Executor,
+    FaultPlan,
+    FaultyBackend,
+    RunJob,
+    poked_blocks,
+)
 from repro.runtime.telemetry import (
     METRICS,
     Counter,
@@ -346,13 +354,18 @@ def gcd_stimulus(sim, cycle):
     sim.poke("resp_ready", 1)
 
 
+def gcd_blocks(state):
+    """``gcd_stimulus`` as the block source a ``RunJob`` drives."""
+    return poked_blocks(gcd_stimulus, input_widths(state.circuit))
+
+
 def make_job(backend, gcd_state, job_id="job", cycles=60):
     return RunJob(
         job_id=job_id,
         backend_name=getattr(backend, "name", "backend"),
         make_sim=lambda: backend.compile_state(gcd_state),
         cycles=cycles,
-        stimulus=gcd_stimulus,
+        stimulus=gcd_blocks(gcd_state),
     )
 
 
