@@ -87,7 +87,8 @@ class AflFuzzer:
             (Figure 11 tracks line coverage regardless of feedback).
         execute_batch: list of byte strings -> index-aligned list of
             cover counts (e.g. ``FuzzHarness.execute_batch`` over swarm
-            lanes).  Enables ``run(..., batch=N)``.
+            lanes).  Without one, ``run`` maps ``execute`` over each
+            batch.
     """
 
     def __init__(
@@ -111,74 +112,43 @@ class AflFuzzer:
         self.stats = FuzzStats()
         self._seeds = list(seeds)
 
-    def _ingest(self, data: bytes, counts: CoverCounts) -> bool:
-        """Account one executed input; returns True on new coverage."""
+    def _ingest(self, data: bytes, counts: CoverCounts) -> None:
+        """Account one executed input; queue it if it found new coverage."""
         self.stats.executions += 1
         execution = self.stats.executions
         self.stats.record(execution, self.track(counts))
         if self.feedback is None:
-            return False
+            return
         coverage = bitmap_of(self.feedback(counts))
         new_pairs = coverage - self.seen_bitmap
         if new_pairs:
             self.seen_bitmap.update(new_pairs)
             self.queue.append(QueueEntry(data, coverage, execution))
             self.stats.queue_size = len(self.queue)
-            return True
-        return False
-
-    def _run_one(self, data: bytes) -> bool:
-        """Execute an input; returns True if it found new coverage."""
-        return self._ingest(data, self.execute(data))
 
     def _run_batch(self, batch: list[bytes]) -> None:
-        """Execute a batch in one backend call, ingest in queue order."""
-        for data, counts in zip(batch, self.execute_batch(batch)):
+        """Execute a batch (one ``execute_batch`` call), ingest in queue order."""
+        if self.execute_batch is not None:
+            results = self.execute_batch(batch)
+        else:
+            results = map(self.execute, batch)
+        for data, counts in zip(batch, results):
             self._ingest(data, counts)
 
     def run(self, max_executions: int, batch: int = 1) -> FuzzStats:
         """Fuzz until the execution budget is exhausted.
 
-        ``batch`` > 1 (requires ``execute_batch``) groups that many
-        pending inputs per backend call — swarm lanes make them one
-        packed simulation.  Mutations for a batch are derived from the
+        Inputs run ``batch`` at a time: through one ``execute_batch`` call
+        when one was given (swarm lanes make a batch one packed
+        simulation), else through ``execute`` per input; ``batch=1`` is
+        plain scalar fuzzing.  Mutations for a batch are derived from the
         queue as it stood when the batch was assembled, so the schedule
         can diverge from ``batch=1`` even though per-input counts are
         bit-identical; coverage feedback still lands before the next
-        batch is drawn.
+        batch is drawn.  Raises ``ValueError`` for ``batch < 1``.
         """
-        if batch > 1 and self.execute_batch is not None:
-            return self._run_batched(max_executions, batch)
-        for seed_data in self._seeds:
-            if self.stats.executions >= max_executions:
-                return self.stats
-            self._run_one(seed_data)
-        if self.feedback is None:
-            # no feedback: pure random mutation of the seeds
-            while self.stats.executions < max_executions:
-                base = self.rng.choice(self._seeds)
-                self._run_one(mutations.havoc(base, self.rng))
-            return self.stats
-        if not self.queue:
-            self.queue.append(QueueEntry(self._seeds[0], frozenset(), 0))
-        cursor = 0
-        while self.stats.executions < max_executions:
-            entry = self.queue[cursor % len(self.queue)]
-            cursor += 1
-            # a light deterministic stage on fresh queue entries
-            for mutated in mutations.bitflips(entry.data):
-                if self.stats.executions >= max_executions:
-                    return self.stats
-                self._run_one(mutated)
-                break  # only a taste — havoc drives most progress
-            for _ in range(16):
-                if self.stats.executions >= max_executions:
-                    return self.stats
-                self._run_one(mutations.havoc(entry.data, self.rng))
-        return self.stats
-
-    def _run_batched(self, max_executions: int, batch: int) -> FuzzStats:
-        """The ``run`` loop restructured around ``execute_batch`` calls."""
+        if batch < 1:
+            raise ValueError(f"batch must be >= 1, got {batch}")
         pending: list[bytes] = []
 
         def budget() -> int:
@@ -196,6 +166,7 @@ class AflFuzzer:
             flush(batch)
         flush()
         if self.feedback is None:
+            # no feedback: pure random mutation of the seeds
             while budget() > 0:
                 base = self.rng.choice(self._seeds)
                 pending.append(mutations.havoc(base, self.rng))
@@ -208,6 +179,7 @@ class AflFuzzer:
         while budget() > 0:
             entry = self.queue[cursor % len(self.queue)]
             cursor += 1
+            # a light deterministic stage on fresh queue entries
             for mutated in mutations.bitflips(entry.data):
                 if budget() <= 0:
                     break

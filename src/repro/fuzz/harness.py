@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..backends.api import CoverCounts, InputBlock
+from ..backends.api import CoverCounts, InputBlock, hold_reset, input_widths
 from ..coverage.common import CoverageDB, InstanceTree
 from ..passes.base import CompileState
 
@@ -65,10 +65,8 @@ class FuzzHarness:
                 from ..backends.verilator import VerilatorBackend
 
                 backend = VerilatorBackend()
-        from ..backends.model import build_model
         from ..backends.modelcache import ModelCache, default_cache
 
-        self._model = build_model(state)
         self._backend = backend
         # Arm an in-memory model cache before the first compile: if the
         # template turns out not to fork(), every execution re-enters
@@ -89,11 +87,10 @@ class FuzzHarness:
             if hasattr(self._template, "poke_lanes")
             else 1
         )
-        self._input_names = {p.name for p in self._model.inputs}
         self.ports = [
-            PortSpec(p.name, self._model.widths[p.name])
-            for p in self._model.inputs
-            if p.name not in ("clock", "reset")
+            PortSpec(name, width)
+            for name, width in input_widths(state.circuit).items()
+            if name != "reset"
         ]
         self.bits_per_cycle = sum(p.width for p in self.ports)
         self.bytes_per_cycle = max((self.bits_per_cycle + 7) // 8, 1)
@@ -137,16 +134,10 @@ class FuzzHarness:
             return self._backend.compile_state(self._state)
         raise RuntimeError("backend cannot create simulations from a compile state")
 
-    def _reset(self, sim) -> None:
-        if self.reset_cycles and "reset" in self._input_names:
-            sim.poke("reset", 1)
-            sim.step(self.reset_cycles)
-            sim.poke("reset", 0)
-
     def execute(self, data: bytes) -> CoverCounts:
         """Run one fuzz input from reset; returns this run's cover counts."""
         sim = self._fresh_sim()
-        self._reset(sim)
+        hold_reset(sim, self.reset_cycles)
         result = sim.drive(self.decode(data))
         # a design that reset already stopped still spent its one
         # attempted cycle, as a swarm lane does
@@ -174,7 +165,7 @@ class FuzzHarness:
         n = len(chunk)
         for lane in range(n, sim.lanes):
             sim.retire_lane(lane)
-        self._reset(sim)
+        hold_reset(sim, self.reset_cycles)
         frames = [self._rows(data) for data in chunk]
         done = [False] * n
         cycle = 0

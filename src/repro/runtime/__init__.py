@@ -81,7 +81,6 @@ from .executor import (
     RunJob,
     RunOutcome,
     poked_blocks,
-    run_campaign,
 )
 from .faults import (
     DiskFaultPlan,
@@ -199,7 +198,6 @@ __all__ = [
     "replay",
     "rlimit_as_enforceable",
     "poked_blocks",
-    "run_campaign",
     "run_process_attempt",
     "validate_shard_counts",
 ]

@@ -729,68 +729,23 @@ class ClusterWorker:
     def _run_shard(self, shard: str, grant: dict, run: _ShardRun) -> None:
         channel = self._channel
         try:
-            # Lazy imports: service.py imports this module at load time.
-            from .checkpoint import Checkpointer
-            from .service import CampaignSpec, execute_spec
+            # Lazy import: service.py imports this module at load time.
+            from .service import ExecutionOutcome
 
-            spec = CampaignSpec.from_json_obj(grant["spec"])
-            if self.config.min_instrument and not spec.min_instrument:
-                spec = replace(spec, min_instrument=True)
-            # Fresh scratch per (shard, token): a re-granted shard starts
-            # from cycle 0 and replays the same seeded stimulus, which is
-            # what makes bounced shards bit-identical.
-            scratch = self._state_dir / f"{shard}.t{run.token}"
-            checkpointer = Checkpointer(
-                scratch,
-                every=int(grant.get("checkpoint_every") or 500),
-                fsync=False,
-                campaign=shard,
-            )
-            last_counts: dict = {}
-            state = {"cycle": 0, "seq": 0}
-
-            def stream_delta(job_id: str, cycle: int, counts: dict) -> None:
-                run.cycle = cycle
-                if run.suppressed or channel is None:
-                    return
-                delta = {
-                    name: count - last_counts.get(name, 0)
-                    for name, count in counts.items()
-                    if count != last_counts.get(name, 0)
-                }
-                state["seq"] += 1
-                message = {
-                    "type": "delta", "shard": shard, "token": run.token,
-                    "seq": state["seq"], "from_cycle": state["cycle"],
-                    "to_cycle": cycle, "counts": delta,
-                    "sent_at": time.time(),
-                }
-                last_counts.clear()
-                last_counts.update(counts)
-                state["cycle"] = cycle
-                try:
-                    channel.send(message)
-                except (OSError, ValueError):
-                    pass  # link gone; the read loop will notice
-
-            timeout = grant.get("timeout")
-            outcome = execute_spec(
-                spec, shard, checkpointer,
-                cancel_event=run.cancel,
-                isolation=self.config.isolation,
-                timeout=float(timeout) if timeout is not None else None,
-                retries=int(grant.get("retries") or 0),
-                progress=stream_delta,
-            )
+            try:
+                outcome = self._execute_grant(shard, grant, run, channel)
+            except Exception:
+                logger.exception("worker %s: shard %s failed locally",
+                                 self.id, shard)
+                outcome = ExecutionOutcome(
+                    "failed", "worker-local execution error"
+                )
             if run.suppressed or channel is None:
                 return
-            status = {"interrupted": "interrupted"}.get(
-                outcome.status, outcome.status
-            )
             try:
                 channel.send({
                     "type": "done", "shard": shard, "token": run.token,
-                    "status": status, "detail": outcome.detail,
+                    "status": outcome.status, "detail": outcome.detail,
                     "counts": outcome.counts or {},
                     "cycles_run": outcome.cycles_run,
                     "attempts": outcome.attempts,
@@ -798,25 +753,66 @@ class ClusterWorker:
                 })
             except (OSError, ValueError):
                 pass
-        except Exception:
-            logger.exception("worker %s: shard %s failed locally",
-                             self.id, shard)
-            if not run.suppressed and channel is not None:
-                try:
-                    channel.send({
-                        "type": "done", "shard": shard, "token": run.token,
-                        "status": "failed",
-                        "detail": "worker-local execution error",
-                        "counts": {}, "cycles_run": 0, "attempts": 0,
-                        "backend_ok": False,
-                    })
-                except (OSError, ValueError):
-                    pass
         finally:
             # Identity check: a re-grant may have installed a newer run
             # for this shard; only the owner removes its own entry.
             if self._active.get(shard) is run:
                 del self._active[shard]
+
+    def _execute_grant(self, shard: str, grant: dict, run: _ShardRun, channel):
+        """Run a granted shard through ``execute_spec``, streaming deltas."""
+        from .checkpoint import Checkpointer
+        from .service import CampaignSpec, execute_spec
+
+        spec = CampaignSpec.from_json_obj(grant["spec"])
+        if self.config.min_instrument and not spec.min_instrument:
+            spec = replace(spec, min_instrument=True)
+        # Fresh scratch per (shard, token): a re-granted shard starts
+        # from cycle 0 and replays the same seeded stimulus, which is
+        # what makes bounced shards bit-identical.
+        scratch = self._state_dir / f"{shard}.t{run.token}"
+        checkpointer = Checkpointer(
+            scratch,
+            every=int(grant.get("checkpoint_every") or 500),
+            fsync=False,
+            campaign=shard,
+        )
+        last_counts: dict = {}
+        state = {"cycle": 0, "seq": 0}
+
+        def stream_delta(job_id: str, cycle: int, counts: dict) -> None:
+            run.cycle = cycle
+            if run.suppressed or channel is None:
+                return
+            delta = {
+                name: count - last_counts.get(name, 0)
+                for name, count in counts.items()
+                if count != last_counts.get(name, 0)
+            }
+            state["seq"] += 1
+            message = {
+                "type": "delta", "shard": shard, "token": run.token,
+                "seq": state["seq"], "from_cycle": state["cycle"],
+                "to_cycle": cycle, "counts": delta,
+                "sent_at": time.time(),
+            }
+            last_counts.clear()
+            last_counts.update(counts)
+            state["cycle"] = cycle
+            try:
+                channel.send(message)
+            except (OSError, ValueError):
+                pass  # link gone; the read loop will notice
+
+        timeout = grant.get("timeout")
+        return execute_spec(
+            spec, shard, checkpointer,
+            cancel_event=run.cancel,
+            isolation=self.config.isolation,
+            timeout=float(timeout) if timeout is not None else None,
+            retries=int(grant.get("retries") or 0),
+            progress=stream_delta,
+        )
 
     # -- heartbeats ------------------------------------------------------------
 

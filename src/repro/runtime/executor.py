@@ -34,6 +34,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -43,15 +44,14 @@ from ..backends.api import (
     InputBlock,
     RunFailure,
     SimulationTimeout,
-    hold_reset,
 )
 from .breaker import BreakerBoard
 from .checkpoint import Checkpointer, Shard, ShardError
 from .procworker import (
     ResourceLimits,
     SupervisionPolicy,
-    block_cycles,
     process_isolation_available,
+    run_blocks,
     run_process_attempt,
 )
 from .telemetry import obs
@@ -116,9 +116,9 @@ class RunJob:
     from cycle 0 on every attempt, and ``drive``s the simulation with it
     (:func:`poked_blocks` adapts a per-cycle poking testbench).  Without
     one the loop only ``step``s.
-    ``read_counts(sim)`` is what the job reports — at every checkpoint,
-    heartbeat and at the end: ``cover_counts()`` by default, the
-    lane-merged ``merged_cover_counts()`` for a swarm job.
+    ``read_counts(sim)`` is what the job reports — at every checkpoint
+    and at the end: ``cover_counts()`` by default, the lane-merged
+    ``merged_cover_counts()`` for a swarm job.
     """
 
     job_id: str
@@ -479,28 +479,12 @@ class Executor:
         self, job: RunJob, attempt: int, outcome: RunOutcome
     ) -> Optional[RunFailure]:
         """One supervised forked-process attempt; None means success."""
-
-        def persist(cycle: int, counts: CoverCounts) -> None:
-            if self.checkpointer is not None and self.checkpointer.due(cycle):
-                self.checkpointer.write(
-                    Shard(
-                        job_id=job.job_id,
-                        backend=job.backend_name,
-                        cycle=cycle,
-                        counts=counts,
-                        complete=False,
-                    )
-                )
-            self._report_progress(job.job_id, cycle, counts)
-
         result = run_process_attempt(
             job,
             attempt,
             self.supervision,
-            checkpoint_every=(
-                self.checkpointer.every if self.checkpointer is not None else 0
-            ),
-            on_shard=persist,
+            checkpoint_every=self._checkpoint_every,
+            on_shard=partial(self._checkpoint, job),
         )
         if result.status == "ok":
             outcome.counts = result.counts or {}
@@ -521,55 +505,59 @@ class Executor:
         )
 
     def _drive(self, job: RunJob, worker: _Attempt) -> None:
-        """The attempt body (runs on the worker thread).
+        """The thread attempt's body (runs on the worker thread).
 
-        One block loop: each block runs to the next checkpoint boundary
-        or multiple of :data:`~repro.runtime.procworker.BLOCK_CYCLES`,
-        whichever comes first, in one ``drive`` (or, without stimulus,
-        one ``step``) call, amortizing the call overhead (and per-block
-        telemetry) over the whole block.
+        The block loop the process worker runs too
+        (:func:`~repro.runtime.procworker.run_blocks`), with blocks ending
+        at checkpoint boundaries.  Each boundary records the cycles run and
+        checkpoints when one is due.  Once the watchdog abandons the
+        attempt, it writes no checkpoint, stops before the next block and
+        leaves no counts behind.
         """
         sim = job.make_sim()
-        hold_reset(sim, job.reset_cycles)
-        every = self.checkpointer.every if self.checkpointer else 0
-        cycle = 0
-        while cycle < job.cycles:
-            if worker.abandoned.is_set():
-                return  # watchdog gave up on this attempt; leave no traces
-            size = block_cycles(cycle, job.cycles, every)
-            if job.stimulus is not None:
-                result = sim.drive(job.stimulus(cycle, size))
-            else:
-                result = sim.step(size)
-            cycle += result.cycles
+
+        def at_boundary(cycle: int) -> None:
             worker.cycles_run = cycle
             if (
                 self.checkpointer
                 and self.checkpointer.due(cycle)
                 and not worker.abandoned.is_set()
             ):
-                counts = dict(job.read_counts(sim))
-                self.checkpointer.write(
-                    Shard(
-                        job_id=job.job_id,
-                        backend=job.backend_name,
-                        cycle=cycle,
-                        counts=counts,
-                        complete=False,
-                    )
-                )
-                self._report_progress(job.job_id, cycle, counts)
-            if result.stopped or result.cycles < size:
-                break  # a stop, or a sim refusing to advance
-        if worker.abandoned.is_set():
-            return
-        worker.counts = dict(job.read_counts(sim))
+                self._checkpoint(job, cycle, job.read_counts(sim))
 
-    def _report_progress(self, job_id: str, cycle: int, counts) -> None:
+        run_blocks(
+            sim, job, at_boundary, (self._checkpoint_every,),
+            worker.abandoned.is_set,
+        )
+        if not worker.abandoned.is_set():
+            worker.counts = dict(job.read_counts(sim))
+
+    @property
+    def _checkpoint_every(self) -> int:
+        return self.checkpointer.every if self.checkpointer else 0
+
+    def _checkpoint(self, job: RunJob, cycle: int, counts: CoverCounts) -> None:
+        """Write ``job``'s partial shard at a due boundary; report progress.
+
+        The one checkpoint path of both isolation levels: the thread
+        attempt calls it with its live counts, the process parent with
+        each shard the child streams up.  A raising ``progress`` hook is
+        logged, never fatal.
+        """
+        counts = dict(counts)
+        self.checkpointer.write(
+            Shard(
+                job_id=job.job_id,
+                backend=job.backend_name,
+                cycle=cycle,
+                counts=counts,
+                complete=False,
+            )
+        )
         if self.progress is None:
             return
         try:
-            self.progress(job_id, cycle, dict(counts))
+            self.progress(job.job_id, cycle, counts)
         except Exception:  # a broken observer must not fail the attempt
             logger.debug("progress hook raised", exc_info=True)
 
@@ -680,15 +668,3 @@ class Executor:
         if shard is not None and shard.complete:
             return shard
         return None
-
-
-def run_campaign(
-    jobs: Sequence[RunJob],
-    known_names: Optional[Iterable[str]] = None,
-    counter_width: Optional[int] = None,
-    **executor_options,
-) -> CampaignResult:
-    """Convenience one-shot: build an :class:`Executor` and run ``jobs``."""
-    return Executor(**executor_options).run_campaign(
-        jobs, known_names=known_names, counter_width=counter_width
-    )

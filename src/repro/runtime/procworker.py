@@ -9,8 +9,7 @@ supervisor can actually kill.
 
 The protocol, over a one-way ``multiprocessing`` pipe (child → parent):
 
-* ``("beat", cycle, digest)`` — liveness + progress: the last completed
-  cycle and a CRC-32 digest of the live cover counts,
+* ``("beat", cycle)`` — liveness + progress: the last completed cycle,
 * ``("shard", cycle, counts)`` — a periodic checkpoint snapshot; the
   *parent* persists it through its :class:`~repro.runtime.checkpoint.\
 Checkpointer`, so a killed worker still salvages its last-good counts,
@@ -43,11 +42,10 @@ import multiprocessing
 import os
 import signal
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..backends.api import CoverCounts, RunFailure, hold_reset
+from ..backends.api import CoverCounts, RunFailure, Simulation, hold_reset
 from .telemetry import obs
 
 #: message tags on the child → parent pipe
@@ -75,6 +73,39 @@ def block_cycles(cycle: int, total: int, *periods: int) -> int:
         if period:
             size = min(size, period - cycle % period)
     return size
+
+
+def run_blocks(
+    sim: Simulation,
+    job,
+    at_boundary: Callable[[int], None],
+    periods: tuple[int, ...] = (),
+    halted: Callable[[], bool] = lambda: False,
+) -> None:
+    """The attempt body both isolation levels run: reset, then blocks.
+
+    Holds reset for ``job.reset_cycles`` edges, then drives ``sim`` with
+    ``job.stimulus`` (or, without one, steps it) in blocks of
+    :func:`block_cycles` over ``periods``, up to ``job.cycles``.  After
+    each block that advanced, ``at_boundary(cycle)`` gets the cycles run
+    so far.  A stop, a block that ran short, or ``halted()`` (checked
+    before each block) ends the loop; a stop during reset therefore ends
+    it with no boundary reported.  Whatever the simulation or the
+    callbacks raise propagates.
+    """
+    hold_reset(sim, job.reset_cycles)
+    cycle = 0
+    while cycle < job.cycles and not halted():
+        size = block_cycles(cycle, job.cycles, *periods)
+        if job.stimulus is not None:
+            result = sim.drive(job.stimulus(cycle, size))
+        else:
+            result = sim.step(size)
+        cycle += result.cycles
+        if result.cycles:
+            at_boundary(cycle)
+        if result.stopped or result.cycles < size:
+            break  # a stop, or a sim refusing to advance
 
 
 # Executor-level attempt number, set in the child before the job factory
@@ -168,14 +199,6 @@ def rlimit_as_enforceable() -> bool:
     return enforced
 
 
-def counts_digest(counts: CoverCounts) -> int:
-    """CRC-32 over the sorted count map — the heartbeat progress digest."""
-    crc = 0
-    for key in sorted(counts):
-        crc = zlib.crc32(f"{key}={counts[key]};".encode(), crc)
-    return crc
-
-
 @dataclass
 class ResourceLimits:
     """POSIX rlimit caps applied inside a worker process.
@@ -245,9 +268,8 @@ class ProcessAttemptResult:
     ``status`` is ``ok`` (clean finish), ``error`` (the child raised and
     reported it), ``killed`` (supervisor SIGKILLed a wedged/overdue child)
     or ``died`` (the child vanished without reporting — segfault, OOM
-    kill, ``SIGXCPU``).  ``last_beat_cycle``/``last_digest`` record the
-    final progress report, which is all the post-mortem a killed worker
-    leaves behind.
+    kill, ``SIGXCPU``).  ``last_beat_cycle`` records the final progress
+    report, which is all the post-mortem a killed worker leaves behind.
     """
 
     status: str
@@ -256,8 +278,6 @@ class ProcessAttemptResult:
     failure_kind: str = "error"
     message: str = ""
     last_beat_cycle: int = 0
-    last_digest: int = 0
-    exit_code: Optional[int] = None
 
 
 def _flush_telemetry(conn, baseline: dict) -> None:
@@ -280,10 +300,10 @@ def _flush_telemetry(conn, baseline: dict) -> None:
 
 def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
                 checkpoint_every: int) -> None:
-    """Worker body: apply limits, drive the simulation, stream progress."""
+    """Worker body: apply limits, run the attempt's blocks, stream progress."""
     global _CURRENT_ATTEMPT
     _CURRENT_ATTEMPT = attempt
-    cycles_done = 0
+    cycles_done = last_batch_cycle = 0
     if obs.enabled:
         # Drop span events inherited across the fork (they belong to the
         # parent's trace); keep the epoch so child timestamps stay on the
@@ -292,66 +312,53 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
     # Inherited counter values belong to the parent too — only growth past
     # this snapshot is the child's to report.
     baseline = obs.counter_state() if obs.enabled else {}
-    attempt_start = obs.tracer.clock() if obs.enabled else 0.0
-    batch_start = attempt_start
+    attempt_start = batch_start = obs.tracer.clock() if obs.enabled else 0.0
 
-    def mark_batch(cycles: int) -> float:
-        nonlocal batch_start
+    def mark_batch() -> None:
+        nonlocal batch_start, last_batch_cycle
         if obs.enabled:
             now = obs.tracer.clock()
             obs.tracer.record(
                 "step-batch", "worker", batch_start, now,
-                backend=job.backend_name, cycles=cycles,
+                backend=job.backend_name, cycles=cycles_done - last_batch_cycle,
             )
             batch_start = now
-        return batch_start
+        last_batch_cycle = cycles_done
+
+    def at_boundary(cycle: int) -> None:
+        nonlocal cycles_done
+        cycles_done = cycle
+        if cycle % policy.heartbeat_cycles == 0:
+            mark_batch()
+            conn.send((BEAT, cycle))
+        if checkpoint_every and cycle % checkpoint_every == 0:
+            with obs.span(
+                "shard-stream", cat="worker",
+                backend=job.backend_name, cycle=cycle,
+            ):
+                conn.send((SHARD, cycle, dict(job.read_counts(sim))))
+            _flush_telemetry(conn, baseline)
 
     try:
         if policy.limits is not None:
             policy.limits.apply()
-        conn.send((BEAT, 0, 0))  # alive before the (possibly slow) compile
+        conn.send((BEAT, 0))  # alive before the (possibly slow) compile
         with obs.span(
             "compile", cat="worker", backend=job.backend_name, attempt=attempt
         ):
             sim = job.make_sim()
-        conn.send((BEAT, 0, 0))
+        conn.send((BEAT, 0))
         _flush_telemetry(conn, baseline)
-        hold_reset(sim, job.reset_cycles)
-        batch_start = obs.tracer.clock() if obs.enabled else 0.0
-        last_batch_cycle = 0
-        cycle = 0
-        while cycle < job.cycles:
-            # blocks end on heartbeat and checkpoint boundaries, so beat
-            # and shard cadence stay exactly as single-stepped
-            size = block_cycles(
-                cycle, job.cycles, policy.heartbeat_cycles, checkpoint_every
-            )
-            if job.stimulus is not None:
-                result = sim.drive(job.stimulus(cycle, size))
-            else:
-                result = sim.step(size)
-            cycle += result.cycles
-            cycles_done = cycle
-            if result.cycles and cycles_done % policy.heartbeat_cycles == 0:
-                mark_batch(cycles_done - last_batch_cycle)
-                last_batch_cycle = cycles_done
-                conn.send((BEAT, cycles_done, counts_digest(job.read_counts(sim))))
-            if (
-                result.cycles
-                and checkpoint_every
-                and cycles_done % checkpoint_every == 0
-            ):
-                with obs.span(
-                    "shard-stream", cat="worker",
-                    backend=job.backend_name, cycle=cycles_done,
-                ):
-                    conn.send((SHARD, cycles_done, dict(job.read_counts(sim))))
-                _flush_telemetry(conn, baseline)
-            if result.stopped or result.cycles < size:
-                break  # a stop, or a sim refusing to advance
+        if obs.enabled:
+            batch_start = obs.tracer.clock()
+        # blocks end on heartbeat and checkpoint boundaries, so every
+        # beat and shard falls exactly on its period
+        run_blocks(
+            sim, job, at_boundary, (policy.heartbeat_cycles, checkpoint_every)
+        )
         if obs.enabled:
             if cycles_done > last_batch_cycle:
-                mark_batch(cycles_done - last_batch_cycle)
+                mark_batch()
             obs.tracer.record(
                 "child-attempt", "worker", attempt_start, obs.tracer.clock(),
                 backend=job.backend_name, attempt=attempt, cycles=cycles_done,
@@ -424,6 +431,18 @@ def run_process_attempt(
     missed = 0
     backend = getattr(job, "backend_name", "?")
     last_message_at = time.monotonic()
+
+    def kill(reason: str, message: str) -> None:
+        _kill_and_reap(worker)
+        if obs.enabled:
+            obs.inc("repro_worker_kills_total", backend=backend, reason=reason)
+        result.status = "killed"
+        result.failure_kind = "timeout"
+        result.message = (
+            f"{message}; worker killed "
+            f"(last heartbeat: cycle {result.last_beat_cycle})"
+        )
+
     try:
         while True:
             window = policy.heartbeat_timeout
@@ -453,7 +472,7 @@ def run_process_attempt(
                 missed = 0
                 tag = message[0]
                 if tag == BEAT:
-                    _, result.last_beat_cycle, result.last_digest = message
+                    _, result.last_beat_cycle = message
                 elif tag == SPANS:
                     obs.ingest_child_spans(message[1], child_pid=worker.pid)
                 elif tag == COUNTERS:
@@ -475,39 +494,17 @@ def run_process_attempt(
                     break
             else:
                 if deadline is not None and time.monotonic() >= deadline:
-                    _kill_and_reap(worker)
-                    if obs.enabled:
-                        obs.inc(
-                            "repro_worker_kills_total",
-                            backend=backend, reason="deadline",
-                        )
-                    result.status = "killed"
-                    result.failure_kind = "timeout"
-                    result.message = (
-                        f"attempt exceeded {policy.deadline}s wall clock; "
-                        f"worker killed (last heartbeat: cycle "
-                        f"{result.last_beat_cycle})"
-                    )
+                    kill("deadline",
+                         f"attempt exceeded {policy.deadline}s wall clock")
                     break
                 missed += 1
                 if missed >= policy.max_missed_heartbeats:
-                    _kill_and_reap(worker)
-                    if obs.enabled:
-                        obs.inc(
-                            "repro_worker_kills_total",
-                            backend=backend, reason="silence",
-                        )
-                    result.status = "killed"
-                    result.failure_kind = "timeout"
-                    result.message = (
-                        f"no heartbeat for {missed} consecutive "
-                        f"{policy.heartbeat_timeout}s windows; worker killed "
-                        f"(last heartbeat: cycle {result.last_beat_cycle})"
-                    )
+                    kill("silence",
+                         f"no heartbeat for {missed} consecutive "
+                         f"{policy.heartbeat_timeout}s windows")
                     break
     finally:
         # Whatever ended the loop, never leave a live child or a zombie.
         _kill_and_reap(worker)
         parent_conn.close()
-    result.exit_code = worker.exitcode
     return result

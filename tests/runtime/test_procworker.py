@@ -29,11 +29,7 @@ from repro.runtime import (
     process_isolation_available,
     run_process_attempt,
 )
-from repro.runtime.procworker import (
-    address_space_mb,
-    counts_digest,
-    rlimit_as_enforceable,
-)
+from repro.runtime.procworker import address_space_mb, rlimit_as_enforceable
 
 pytestmark = [
     pytest.mark.faults,
@@ -106,16 +102,6 @@ class TestConfigValidation:
     def test_executor_rejects_unknown_isolation(self):
         with pytest.raises(ValueError, match="isolation"):
             Executor(isolation="fiber")
-
-
-class TestCountsDigest:
-    def test_insertion_order_independent(self):
-        assert counts_digest({"a": 1, "b": 2}) == counts_digest({"b": 2, "a": 1})
-
-    def test_sensitive_to_values_and_keys(self):
-        base = counts_digest({"a": 1, "b": 2})
-        assert counts_digest({"a": 1, "b": 3}) != base
-        assert counts_digest({"a": 1, "c": 2}) != base
 
 
 class TestProcessAttempt:
