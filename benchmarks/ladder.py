@@ -24,7 +24,7 @@ RUNGS = [
     ("interpreter", "`treadle --no-jit`", "treadle", None, None),
     ("JIT", "`treadle`", "treadle-jit", "speedup_vs_interpreter", "the interpreter"),
     ("JIT, scalar renderer", "`verilator`", "verilator", None, None),
-    ("JIT, activity gate on", "`essent`", "essent", None, None),
+    ("JIT, under ESSENT's name", "`essent`", "essent", None, None),
     ("native C", "`c`", "c", "speedup_vs_jit", "the JIT"),
     ("swarm", "`swarm --lanes {lanes}`", "swarm", "speedup_vs_jit", "the JIT"),
 ]

@@ -8,7 +8,7 @@ backend    stands in for                        character
 ========== ==================================== =======================
 treadle    Treadle (JVM FIRRTL interpreter)     zero build, slow run
 verilator  Verilator (compile to C++)           slow build, fast run
-essent     ESSENT (activity-driven simulator)   compiled + activity gate
+essent     ESSENT (activity-driven simulator)   same class as verilator
 firesim    FireSim (FPGA-accelerated)           scan-chain counters
 formal     SymbiYosys (BMC cover traces)        proves/finds reachability
 c          native codegen (cc + ctypes)         slow build, fastest run
@@ -100,7 +100,7 @@ BACKEND_MATRIX = [
         "verilator", "scalar renderer's generated Python class", True, True, True,
         "model + Python source + bytecode", True, "-"),
     BackendCapabilities(
-        "essent", "scalar renderer, activity gate on", True, True, True,
+        "essent", "scalar renderer's generated Python class", True, True, True,
         "model + Python source + bytecode", True, "-"),
     BackendCapabilities(
         "c", "C renderer, cc-compiled shared object (ctypes)", True, True, True,

@@ -27,7 +27,7 @@ from .schedule import Schedule
 #: effect order — must bump it: the content-addressed model cache
 #: (:mod:`repro.backends.modelcache`) mixes it into every cache key, so a
 #: bump invalidates all persisted entries (and C artifacts) at once.
-CODEGEN_VERSION = 4
+CODEGEN_VERSION = 5
 
 RefFn = Callable[[str], str]
 MemFn = Callable[[str], str]
@@ -189,9 +189,7 @@ def _trem(a, b):
 # -- the scalar renderer ------------------------------------------------------
 
 
-def render_python(
-    model, value_probes: tuple[str, ...] = (), activity_gate: bool = False
-) -> str:
+def render_python(model, value_probes: tuple[str, ...] = ()) -> str:
     """Render the one scalar simulation class, ``GeneratedSim``, for ``model``.
 
     Inputs, registers and memories are instance attributes named by the
@@ -207,21 +205,16 @@ def render_python(
 
     ``value_probes`` histogram those signals on every edge inside the
     fused loop (``hist_<i>``, the efficient cover-values of §6).
-    ``activity_gate`` is essent's option (§3.5): skip the combinational
-    sweep on edges whose inputs, registers and memories did not change
-    since the previous edge of the same ``run`` call, counting evaluated
-    and skipped edges in ``evals`` and ``skips``.
     """
-    return _ScalarRenderer(Schedule(model), tuple(value_probes), activity_gate).render()
+    return _ScalarRenderer(Schedule(model), tuple(value_probes)).render()
 
 
 class _ScalarRenderer:
     """Emits ``GeneratedSim``; its walk methods emit one edge of ``run``."""
 
-    def __init__(self, schedule: Schedule, probes: tuple[str, ...], gate: bool) -> None:
+    def __init__(self, schedule: Schedule, probes: tuple[str, ...]) -> None:
         self.schedule = schedule
         self.probes = probes
-        self.gate = gate
         self.b = CodeBuilder()
         self.ids = schedule.refs
         mem_ids = schedule.mem_ids
@@ -254,9 +247,6 @@ class _ScalarRenderer:
             b.emit(f"self.hist_{i} = {{}}")
         b.emit("self.cycle = 0")
         b.emit("self.halted = None")
-        if self.gate:
-            b.emit("self.evals = 0")
-            b.emit("self.skips = 0")
         b.depth -= 1
         b.emit()
 
@@ -281,16 +271,9 @@ class _ScalarRenderer:
         b.emit("if rows is None:")
         b.emit(f"    rows = _repeat(({row}), cycles)")
         b.emit("halted = None")
-        if self.gate:
-            b.emit("prev_sig = None")
-            b.emit("mem_dirty = True")
         b.emit("done = 0")
         b.emit(f"for {row or '_'} in rows:")
         b.depth += 1
-        if self.gate:
-            b.emit(f"sig = ({''.join(name + ', ' for name in state)})")
-            b.emit("if mem_dirty or sig != prev_sig:")
-            b.depth += 1
         self.schedule.walk(self)
         b.emit("done += 1")
         if model.stops:
@@ -310,13 +293,6 @@ class _ScalarRenderer:
 
     def settled(self) -> None:
         b = self.b
-        if self.gate:
-            b.emit("prev_sig = sig")
-            b.emit("mem_dirty = False")
-            b.emit("self.evals += 1")
-            b.depth -= 1
-            b.emit("else:")
-            b.emit("    self.skips += 1")
         for i, probe in enumerate(self.probes):
             b.emit(f"_v = {self.ids[probe]}")
             b.emit(f"hist_{i}[_v] = hist_{i}.get(_v, 0) + 1")
@@ -345,8 +321,6 @@ class _ScalarRenderer:
             guard = f"{guard} and ({addr}) < {write.bound}"
         self.b.emit(f"if {guard}:")
         self.b.emit(f"    {write.mem_id}[{addr}] = {self.gen(write.data)}")
-        if self.gate:
-            self.b.emit("    mem_dirty = True")
 
     def commit(self, index: int, name: str) -> None:
         self.b.emit(f"{self.ids[name]} = n_{index}")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import re
-from functools import partial
 from itertools import repeat
 from typing import Optional
 
@@ -225,8 +224,6 @@ class VerilatorBackend:
 
     name = "verilator"
     simulation_cls = VerilatorSimulation
-    #: essent's option: skip the comb sweep on edges with unchanged state
-    activity_gate = False
 
     def __init__(self, cache: Optional[ModelCache] = None) -> None:
         self._cache = cache
@@ -249,12 +246,10 @@ class VerilatorBackend:
 
     def _compile(self, circuit_or_state, counter_width, value_probes=()):
         probes = tuple(value_probes)
-        render = partial(
-            render_python, value_probes=probes, activity_gate=self.activity_gate
-        )
         entry = compile_schedule(
-            circuit_or_state, self.name, render, cache=self._cache, options=probes,
-            bytecode=True,
+            circuit_or_state, self.name,
+            lambda model: render_python(model, value_probes=probes),
+            cache=self._cache, options=probes, bytecode=True,
         )
         return self.simulation_cls(
             entry.runtime["schedule"], counter_width, scalar_plan(entry, probes)

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .coverage import (
+    ALL_METRICS,
     CoverageDB,
     InstanceTree,
     apply_exclusions,
@@ -233,17 +234,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     observing = bool(args.trace_out or args.metrics_out)
     if observing:
         obs.enable()
-    previous_cache = None
-    caching = bool(args.model_cache_dir)
-    if caching:
-        previous_cache = set_default_cache(ModelCache(args.model_cache_dir))
+    # Memory-only without --model-cache-dir: still the one compile that
+    # process isolation needs before it forks.
+    previous_cache = set_default_cache(ModelCache(args.model_cache_dir))
     try:
         return _simulate(args)
     finally:
         # Write the observability files on every exit path — a failed
         # campaign is exactly when you want the trace.
-        if caching:
-            set_default_cache(previous_cache)
+        set_default_cache(previous_cache)
         if observing:
             _write_observability(args)
             obs.disable()
@@ -408,7 +407,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         tenant_quota=args.tenant_quota,
         journal_fsync=not args.no_journal_fsync,
-        compact_every=args.compact_every,
         isolation=args.isolation,
         default_timeout=args.timeout,
         retries=args.retries,
@@ -654,8 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lint every bundled example design")
     p.add_argument("--no-semantic", action="store_true",
                    help="skip the abstract-interpretation tier")
-    p.add_argument("-m", "--metric", action="append",
-                   choices=["line", "toggle", "fsm", "ready_valid", "mux_toggle"],
+    p.add_argument("-m", "--metric", action="append", choices=ALL_METRICS,
                    help="instrument with these metrics before linting "
                         "(surfaces the cover-redundant implication graph)")
     p.add_argument("--explain", metavar="RULE-ID",
@@ -671,8 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("circuit",
                    help="a .fir file or a bundled design name (e.g. Gcd)")
-    p.add_argument("-m", "--metric", action="append",
-                   choices=["line", "toggle", "fsm", "ready_valid", "mux_toggle"],
+    p.add_argument("-m", "--metric", action="append", choices=ALL_METRICS,
                    help="instrument with these metrics before screening")
     p.add_argument("--bound", type=int, default=20)
     p.add_argument("--no-bmc", action="store_true",
@@ -686,8 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instrument", help="add coverage instrumentation")
     p.add_argument("circuit")
-    p.add_argument("-m", "--metric", action="append",
-                   choices=["line", "toggle", "fsm", "ready_valid", "mux_toggle"])
+    p.add_argument("-m", "--metric", action="append", choices=ALL_METRICS)
     p.add_argument("--min-instrument", action="store_true",
                    help="materialize only a minimal spanning basis of "
                         "counters; elided covers get reconstruction "
@@ -769,14 +764,10 @@ def build_parser() -> argparse.ArgumentParser:
              "AFL-style loop with cover counts as feedback (§5.4)",
     )
     p.add_argument("circuit")
-    p.add_argument("-m", "--metric", action="append",
-                   choices=["line", "toggle", "fsm", "ready_valid",
-                            "mux_toggle"],
+    p.add_argument("-m", "--metric", action="append", choices=ALL_METRICS,
                    help="metric(s) to instrument before fuzzing "
                         "(default: line)")
-    p.add_argument("--feedback",
-                   choices=["all", "none", "line", "toggle", "fsm",
-                            "ready_valid", "mux_toggle"],
+    p.add_argument("--feedback", choices=("all", "none", *ALL_METRICS),
                    default="all",
                    help="which metric's counts steer the search: a metric "
                         "name (must also be instrumented), 'all' counters, "
@@ -822,9 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-journal-fsync", action="store_true",
                    help="skip fsync on journal appends (faster; a power cut "
                         "may then lose the latest acknowledged records)")
-    p.add_argument("--compact-every", type=int, default=256,
-                   help="rewrite the journal as a snapshot after this many "
-                        "appended records")
     p.add_argument("--isolation", choices=["thread", "process"],
                    default="thread",
                    help="attempt containment for campaign jobs; 'process' "

@@ -621,10 +621,16 @@ class ClusterWorker:
 
     def run(self) -> int:
         """Connect (and reconnect) until stopped; returns an exit code."""
-        if self.config.model_cache_dir:
-            from ..backends import ModelCache, set_default_cache
+        from ..backends import ModelCache, set_default_cache
 
-            set_default_cache(ModelCache(self.config.model_cache_dir))
+        # memory-only without a directory, as for ``repro simulate``
+        previous = set_default_cache(ModelCache(self.config.model_cache_dir))
+        try:
+            return self._connect_loop()
+        finally:
+            set_default_cache(previous)
+
+    def _connect_loop(self) -> int:
         attempts_left = self.config.reconnect
         rng = random.Random(f"{self.config.seed}:{self.id}:reconnect")
         attempt = 0

@@ -72,8 +72,6 @@ logger = logging.getLogger(__name__)
 #: campaign spec schema version carried in submit records
 SPEC_VERSION = 1
 
-KNOWN_METRICS = ("line", "toggle", "fsm", "ready_valid", "mux_toggle")
-
 QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
@@ -138,6 +136,7 @@ class CampaignSpec:
     @staticmethod
     def from_json_obj(data) -> "CampaignSpec":
         from ..backends import BACKENDS
+        from ..coverage import ALL_METRICS
 
         if not isinstance(data, dict):
             raise SpecError(f"spec must be a JSON object, got {type(data).__name__}")
@@ -172,11 +171,11 @@ class CampaignSpec:
             isinstance(m, str) for m in metrics_raw
         ):
             raise SpecError("spec field 'metrics': expected a list of strings")
-        unknown = sorted(set(metrics_raw) - set(KNOWN_METRICS))
+        unknown = sorted(set(metrics_raw) - set(ALL_METRICS))
         if unknown:
             raise SpecError(
                 f"unknown metrics {', '.join(unknown)} "
-                f"(have: {', '.join(KNOWN_METRICS)})"
+                f"(have: {', '.join(ALL_METRICS)})"
             )
         deadline = pick("deadline_s", float, None)
         if deadline is not None and deadline <= 0:
@@ -596,7 +595,6 @@ class ServiceConfig:
     max_queue: int = 64
     tenant_quota: int = 16
     journal_fsync: bool = True
-    compact_every: int = 256
     isolation: str = "thread"
     default_timeout: Optional[float] = None
     retries: int = 0
@@ -661,7 +659,7 @@ class CoverageService:
         self._draining = False
         self._stopping = False
         self._pause_dispatch = False  # test seam: hold the queue still
-        self._records_since_compact = 0
+        self._previous_cache = None
         self._clean_shutdown_seen = False
         self._pool = ThreadPoolExecutor(
             max_workers=config.max_workers,
@@ -680,10 +678,12 @@ class CoverageService:
         """Recover state from the journal, then start serving."""
         if self.config.telemetry:
             obs.enable()
-        if self.config.model_cache_dir:
-            from ..backends import ModelCache, set_default_cache
+        from ..backends import ModelCache, set_default_cache
 
-            set_default_cache(ModelCache(self.config.model_cache_dir))
+        # memory-only without a directory; _abort puts the previous back
+        self._previous_cache = set_default_cache(
+            ModelCache(self.config.model_cache_dir)
+        )
         self.config.state_dir.mkdir(parents=True, exist_ok=True)
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
@@ -835,6 +835,9 @@ class CoverageService:
         if self.journal is not None:
             self.journal.close()
         self._pool.shutdown(wait=False, cancel_futures=True)
+        from ..backends import set_default_cache
+
+        set_default_cache(self._previous_cache)
         if self._stopped is not None:
             self._stopped.set()
 
@@ -977,16 +980,6 @@ class CoverageService:
             "campaigns": entries,
         }
 
-    def _maybe_compact(self) -> None:
-        self._records_since_compact += 1
-        if self._records_since_compact < self.config.compact_every:
-            return
-        try:
-            self.journal.compact(self._snapshot_record())
-            self._records_since_compact = 0
-        except Exception:
-            logger.exception("journal compaction failed; appends continue")
-
     def _journal_lease(self, campaign_id: str, worker_id: str,
                        token: int) -> bool:
         """Durably arm a fencing token *before* the grant can exist.
@@ -1009,7 +1002,6 @@ class CoverageService:
             )
             return False
         self._next_fence = max(self._next_fence, token + 1)
-        self._maybe_compact()
         return True
 
     # -- admission & scheduling ------------------------------------------------
@@ -1218,7 +1210,6 @@ class CoverageService:
         if obs.enabled:
             obs.inc("repro_serve_campaigns_total",
                     tenant=campaign.spec.tenant, status=status)
-        self._maybe_compact()
         if self._wake is not None:
             self._wake.set()
 
@@ -1334,7 +1325,6 @@ class CoverageService:
         self._next_seq = seq + 1
         self.campaigns[campaign.id] = campaign
         self._enqueue(campaign)
-        self._maybe_compact()
         return campaign, None
 
     def cancel(self, campaign_id: str) -> tuple[int, dict]:

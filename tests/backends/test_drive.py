@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.backends import BACKENDS, EssentBackend, StepResult, TreadleBackend
+from repro.backends import BACKENDS, StepResult, TreadleBackend
 from repro.backends.api import InputBlock, drive, hold_reset, input_widths
 from repro.ir import parse_circuit
 from repro.runtime import poked_blocks
@@ -80,23 +80,6 @@ circuit Drive {
     cover(clock, eq(held, UInt<8>("h2a")), UInt<1>("h1")) : held_42
     cover(clock, eq(r, UInt<8>("h0")), UInt<1>("h1")) : r_zero
     stop(clock, kill, UInt<1>("h1"), 3) : killed
-  }
-}
-"""
-
-# no state: essent's gate may skip an edge only when the inputs repeat
-GATED = """
-circuit Gated {
-  module Gated {
-    input clock : Clock
-    input reset : UInt<1>
-    input x : UInt<4>
-    output o : UInt<4>
-
-    o <= x
-    cover(clock, eq(x, UInt<4>("h1")), UInt<1>("h1")) : one
-    cover(clock, eq(x, UInt<4>("h2")), UInt<1>("h1")) : two
-    cover(clock, eq(x, UInt<4>("h3")), UInt<1>("h1")) : three
   }
 }
 """
@@ -224,18 +207,6 @@ def test_a_stop_mid_block_ends_the_drive(tier):
     again = InputBlock.encode(ports, [[0, 99, 3]] * 10)
     assert native.drive(again) == drive(reference, again) == StepResult(0, True, "killed", 3)
     assert _observe(native) == _observe(reference)
-
-
-def test_essent_gate_sees_inputs_change_inside_a_block():
-    circuit = parse_circuit(GATED)
-    sim = EssentBackend().compile(circuit)
-    reference = TreadleBackend(jit=False).compile(circuit)
-    block = InputBlock.encode([("x", 4)], [[v] for v in (1, 1, 2, 2, 2, 3)])
-    assert sim.drive(block) == drive(reference, block)
-    assert sim.cover_counts() == reference.cover_counts() == {
-        "one": 2, "two": 3, "three": 1,
-    }
-    assert sim.activity_stats == (3, 3)  # evaluated on each change, not after
 
 
 def test_drive_rejects_a_port_of_the_wrong_width(tier):

@@ -1,7 +1,8 @@
-"""ESSENT activity gating and the FireSim scan chain / resource model."""
+"""ESSENT's results and the FireSim scan chain / resource model."""
 
 import pytest
 
+from repro import designs
 from repro.backends import EssentBackend, TreadleBackend, VerilatorBackend
 from repro.backends.firesim import (
     CoverageScanChainPass,
@@ -27,18 +28,21 @@ class _Gated(Module):
         m.cover(acc == 0x10, "sixteen")
 
 
+#: every bundled design, by class name
+DESIGNS = {
+    name: obj for name in designs.__all__
+    if isinstance(obj := getattr(designs, name), type)
+    and issubclass(obj, Module) and obj is not Module
+}
+
+
 class TestEssent:
-    def test_activity_gating_skips_idle_cycles(self):
-        sim = EssentBackend().compile(elaborate(_Gated()))
-        sim.poke("reset", 1)
-        sim.step()
-        sim.poke("reset", 0)
-        sim.poke("en", 0)
-        sim.poke("data", 5)
-        sim.step(100)  # nothing changes: comb sweep should be skipped
-        evals, skips = sim.activity_stats
-        assert skips > 80
-        assert sim.peek("out") == 0
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_essent_renders_verilators_class(self, name):
+        """essent is the scalar renderer under its own name: same source."""
+        circuit = elaborate(DESIGNS[name]())
+        essent = EssentBackend().compile(circuit)
+        assert essent.source == VerilatorBackend().compile(circuit).source
 
     def test_gating_does_not_change_results(self):
         a = EssentBackend().compile(elaborate(_Gated()))
