@@ -339,7 +339,7 @@ class _CExprGen:
         raise TypeError(f"cannot generate C for primop {op}")
 
     def predicate(self, pred: Expr, en: Expr) -> str:
-        """A cover/stop firing condition, dropping a constant-true enable."""
+        """A stop's firing condition, dropping a constant-true enable."""
         pred_text = self.gen(pred)
         if isinstance(en, UIntLiteral) and en.value == 1:
             return pred_text
@@ -413,16 +413,25 @@ class _StepRenderer:
     def settled(self) -> None:
         pass
 
-    def guard(self, expr) -> None:
-        self.b.emit(f"if ({self.gen.gen(expr)}) {{")
+    def branch(self, literals) -> None:
+        tests = " && ".join(
+            f"({self.gen.gen(lit.expr)})" if lit.positive else f"!({self.gen.gen(lit.expr)})"
+            for lit in literals
+        )
+        self.b.emit(f"if ({tests}) {{")
         self.b.depth += 1
 
-    def unguard(self) -> None:
+    def else_(self) -> None:
+        self.b.depth -= 1
+        self.b.emit("} else {")
+        self.b.depth += 1
+
+    def end(self) -> None:
         self.b.depth -= 1
         self.b.emit("}")
 
-    def cover(self, slot, pred, en) -> None:
-        self.b.emit(f"if ({self.gen.predicate(pred, en)}) cov[{slot}] += 1;")
+    def count(self, slot) -> None:
+        self.b.emit(f"cov[{slot}] += 1;")
 
     def stop(self, index, pred, en) -> None:
         keyword = "else if" if index else "if"

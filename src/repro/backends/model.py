@@ -210,10 +210,16 @@ def _signed(tpe) -> bool:
 
 
 def _topo_sort(comb: dict[str, Expr], registers: dict[str, DefRegister]) -> list[str]:
-    """Order combinational signals so every dependency precedes its user."""
+    """Order combinational signals so every dependency precedes its user.
+
+    Deterministic: roots in ``comb``'s order, dependencies in the order
+    each expression first references them.
+    """
     deps: dict[str, list[str]] = {}
     for name, expr in comb.items():
-        deps[name] = [d for d in set(references(expr)) if d in comb and d not in registers]
+        deps[name] = [
+            d for d in dict.fromkeys(references(expr)) if d in comb and d not in registers
+        ]
 
     order: list[str] = []
     done: set[str] = set()

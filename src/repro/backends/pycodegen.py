@@ -27,7 +27,7 @@ from .schedule import Schedule
 #: effect order — must bump it: the content-addressed model cache
 #: (:mod:`repro.backends.modelcache`) mixes it into every cache key, so a
 #: bump invalidates all persisted entries (and C artifacts) at once.
-CODEGEN_VERSION = 5
+CODEGEN_VERSION = 6
 
 RefFn = Callable[[str], str]
 MemFn = Callable[[str], str]
@@ -50,7 +50,7 @@ class CodeBuilder:
 
 
 def predicate(gen, pred, en) -> str:
-    """A cover/stop firing condition, dropping a constant-true enable."""
+    """A stop's firing condition, dropping a constant-true enable."""
     pred_text = gen(pred)
     if isinstance(en, UIntLiteral) and en.value == 1:
         return pred_text
@@ -197,11 +197,12 @@ def render_python(model, value_probes: tuple[str, ...] = ()) -> str:
     by cover slot (clamping happens at read time).  ``settle()`` runs one
     combinational sweep and stores every signal on the instance;
     ``run(cycles, rows=None)`` is the fused loop over
-    :meth:`Schedule.walk` — shared temporaries are its locals, guards are
-    ``if`` blocks — returns the edges it ran and leaves a fired stop's
-    index in ``halted``.  Its loop takes every input from one row per
-    edge: ``rows`` (a block's per-cycle input values, in input order) or,
-    for a plain step, the held inputs repeated ``cycles`` times.
+    :meth:`Schedule.walk` — shared temporaries are its locals, the cover
+    trie is nested ``if``/``else`` blocks — returns the edges it ran and
+    leaves a fired stop's index in ``halted``.  Its loop takes every
+    input from one row per edge: ``rows`` (a block's per-cycle input
+    values, in input order) or, for a plain step, the held inputs
+    repeated ``cycles`` times.
 
     ``value_probes`` histogram those signals on every edge inside the
     fused loop (``hist_<i>``, the efficient cover-values of §6).
@@ -297,15 +298,22 @@ class _ScalarRenderer:
             b.emit(f"_v = {self.ids[probe]}")
             b.emit(f"hist_{i}[_v] = hist_{i}.get(_v, 0) + 1")
 
-    def guard(self, expr: Expr) -> None:
-        self.b.emit(f"if {self.gen(expr)}:")
+    def branch(self, literals) -> None:
+        tests = [self.gen(lit.expr) if lit.positive else f"not {self.gen(lit.expr)}"
+                 for lit in literals]
+        self.b.emit(f"if {' and '.join(tests)}:")
         self.b.depth += 1
 
-    def unguard(self) -> None:
+    def else_(self) -> None:
+        self.b.depth -= 1
+        self.b.emit("else:")
+        self.b.depth += 1
+
+    def end(self) -> None:
         self.b.depth -= 1
 
-    def cover(self, slot: int, pred: Expr, en: Expr) -> None:
-        self.b.emit(f"if {predicate(self.gen, pred, en)}: cnt[{slot}] += 1")
+    def count(self, slot: int) -> None:
+        self.b.emit(f"cnt[{slot}] += 1")
 
     def stop(self, index: int, pred: Expr, en: Expr) -> None:
         keyword = "elif" if index else "if"
@@ -532,7 +540,7 @@ class SwarmEmitter:
         raise TypeError(f"cannot generate swarm code for {expr!r}")
 
     def predicate(self, pred: Expr, en: Expr) -> str:
-        """A packed firing mask, dropping a constant-true enable."""
+        """A stop's packed firing mask, dropping a constant-true enable."""
         pred_text = self.gen(pred)
         if isinstance(en, UIntLiteral) and en.value == 1:
             return pred_text

@@ -21,8 +21,8 @@ renderers would otherwise each re-derive:
   as IR, which each renderer's expression generator translates like any
   other expression;
 * one *shared* edge: every expression node the edge uses at two or more
-  sites is a temporary computed once per edge, and runs of covers that
-  test single bits of one source sit behind one guard on it.
+  sites is a temporary computed once per edge, and the covers are counted
+  through one decision trie that tests each literal they share once.
 
 The tree-walking interpreter does not consume the lowered effects: it
 evaluates the unshared model directly and stays the independent
@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
-from ..ir.traversal import map_expr_children, walk_expr
+from ..ir.traversal import literal_value, map_expr_children, walk_expr
 from ..ir.types import SIntType, UIntType, bit_width, is_signed, mask
 from .model import CircuitModel, MemoryModel, RegisterModel
 
@@ -169,15 +169,13 @@ class _Dag:
     Built bottom-up in O(nodes): a node's key is (kind, op, consts, type,
     child ids), so equal subtrees get one id without hashing any
     expression tree recursively, and an expression object met again is
-    looked up by identity.  ``uses[i]`` counts the references to node
-    ``i`` from distinct parent nodes and from the edge's sites.
+    looked up by identity.
     """
 
     def __init__(self) -> None:
-        #: representative expression, child ids and use count per node id
+        #: representative expression and child ids per node id
         self.exprs: list[Expr] = []
         self.kids: list[tuple[int, ...]] = []
-        self.uses: list[int] = []
         self._ids: dict = {}
         self._seen: dict[int, int] = {}
 
@@ -204,11 +202,31 @@ class _Dag:
             nid = self._ids[key] = len(self.exprs)
             self.exprs.append(expr)
             self.kids.append(kids)
-            self.uses.append(0)
-            for kid in kids:
-                self.uses[kid] += 1
         self._seen[id(expr)] = nid
         return nid
+
+    def uses(self, sites: list[int]) -> list[int]:
+        """Per node, its references from ``sites`` and from distinct live parents.
+
+        A node is live when a site reaches it; a node only a flattened
+        cover condition held (an ``and`` or ``not`` whose literals the
+        trie tests instead) is not, and its children gain no use from it.
+        """
+        uses = [0] * len(self.exprs)
+        live: set[int] = set()
+        stack = []
+        for nid in sites:
+            uses[nid] += 1
+            if nid not in live:
+                live.add(nid)
+                stack.append(nid)
+        while stack:
+            for kid in self.kids[stack.pop()]:
+                uses[kid] += 1
+                if kid not in live:
+                    live.add(kid)
+                    stack.append(kid)
+        return uses
 
     def reads(self, root: int, memories: set[str]) -> bool:
         """Whether node ``root`` reads any of ``memories``."""
@@ -225,11 +243,98 @@ class _Dag:
         return False
 
 
-class _Guard(NamedTuple):
-    """A run of covers ``walk`` puts behind one ``guard(expr)``."""
+class Literal(NamedTuple):
+    """One test of a trie branch: ``expr`` is non-zero, or zero if not ``positive``.
+
+    A literal is one bit wide, except the implied ``src != 0`` of a
+    single-bit test ``bits(src, k, k)``, which is as wide as ``src``.
+    """
 
     expr: Expr
-    covers: list[tuple[int, Expr, Expr]]
+    positive: bool
+
+
+class _Branch(NamedTuple):
+    """A trie node: count ``then`` where every literal holds, else ``orelse``.
+
+    Each arm is a list of counter slots and branches; over node ids while
+    the trie is built, over :class:`Literal` once the edge is rendered.
+    """
+
+    literals: tuple
+    then: list
+    orelse: list
+
+
+#: Trie depth past which a cover's remaining literals are tested as one
+#: conjunction: keeps the generated Python inside CPython's 100
+#: indentation levels whatever the nesting of the design's whens.
+MAX_TRIE_DEPTH = 32
+
+
+class _Cover(NamedTuple):
+    """A cover while the trie is built: its slot and untested literals.
+
+    ``literals`` maps a node id to ``(positive, implied)``, in the order
+    the cover's condition lists them.
+    """
+
+    slot: int
+    literals: dict[int, tuple[bool, bool]]
+
+
+def _trie(covers: list[_Cover], depth: int = 0) -> list:
+    """One trie level over ``covers``, in statement order.
+
+    Literal-free covers count outright.  Then, repeatedly, the node the
+    most remaining covers test (ties to the earliest in statement order)
+    is tested once: covers testing it non-zero nest under it, covers
+    testing it zero go to the ``else`` arm.  Covers whose literals no
+    other cover shares, and every cover past :data:`MAX_TRIE_DEPTH`,
+    test what is left as one conjunction, without implied literals.
+    """
+    items: list = []
+    rest: list[_Cover] = []
+    for cover in covers:
+        if any(not implied for _, implied in cover.literals.values()):
+            rest.append(cover)
+        else:
+            items.append(cover.slot)
+    counts: dict[int, int] = {}
+    for cover in rest:
+        for nid in cover.literals:
+            counts[nid] = counts.get(nid, 0) + 1
+    while rest:
+        best = max(counts, key=counts.__getitem__)
+        if counts[best] < 2 or depth >= MAX_TRIE_DEPTH:
+            for cover in rest:
+                literals = tuple(
+                    (nid, positive)
+                    for nid, (positive, implied) in cover.literals.items()
+                    if not implied
+                )
+                items.append(_Branch(literals, [cover.slot], []))
+            return items
+        then: list[_Cover] = []
+        orelse: list[_Cover] = []
+        keep: list[_Cover] = []
+        for cover in rest:
+            test = cover.literals.get(best)
+            if test is None:
+                keep.append(cover)
+                continue
+            for nid in cover.literals:
+                counts[nid] -= 1
+            literals = dict(cover.literals)
+            del literals[best]
+            (then if test[0] else orelse).append(_Cover(cover.slot, literals))
+        del counts[best]
+        if then:
+            items.append(_Branch(((best, True),), _trie(then, depth + 1), _trie(orelse, depth + 1)))
+        else:
+            items.append(_Branch(((best, False),), _trie(orelse, depth + 1), []))
+        rest = keep
+    return items
 
 
 class _SharedEdge:
@@ -237,31 +342,44 @@ class _SharedEdge:
 
     ``sweep`` is the comb sweep: ``(name, expr)`` per comb signal and per
     temporary, dependencies first; every later effect references the
-    temporaries.  A non-leaf node becomes a temporary when the edge uses
-    it twice or more, or when it is a write operand reading a memory an
-    earlier write of the edge writes (so it sees pre-edge memory); a
-    node equal to a comb signal's expression is that signal instead.
-    Every site is read with its memory reads bounded.
+    temporaries.  ``trie`` counts the covers (:func:`_trie`).  A non-leaf
+    node becomes a temporary when the edge uses it twice or more — a
+    trie literal is one use per test — or when it is a write operand
+    reading a memory an earlier write of the edge writes (so it sees
+    pre-edge memory); a node equal to a comb signal's expression is that
+    signal instead.  Every site is read with its memory reads bounded.
     """
 
     def __init__(self, schedule: "Schedule") -> None:
         model, bound = schedule.model, schedule._bound
         dag = self.dag = _Dag()
-        exprs, kids, uses = dag.exprs, dag.kids, dag.uses
+        exprs, kids = dag.exprs, dag.kids
 
         def site(expr: Expr) -> int:
-            nid = dag.node(bound(expr))
-            uses[nid] += 1
-            return nid
+            return dag.node(bound(expr))
 
         comb = [(name, site(expr)) for name, expr in model.comb]
-        covers = [(slot, site(pred), site(en)) for slot, pred, en in schedule.covers]
+        covers = []
+        for slot, pred, en in schedule.covers:
+            literals: dict[int, tuple[bool, bool]] = {}
+            if self._split(site(pred), True, literals) and self._split(site(en), True, literals):
+                covers.append(_Cover(slot, literals))
+        trie = _trie(covers)
         stops = [(site(stop.pred), site(stop.en)) for stop in model.stops]
         nexts = [site(expr) for expr in schedule.nexts]
         writes = [
             (write, site(write.addr), site(write.data), site(write.en))
             for write in schedule.writes
         ]
+
+        sites = [nid for _, nid in comb]
+        sites += _tested(trie)
+        for pred, en in stops:
+            sites += (pred, en)
+        sites += nexts
+        for _, *operands in writes:
+            sites += operands
+        uses = dag.uses(sites)
 
         names: dict[int, str] = {}
         for name, nid in comb:
@@ -293,13 +411,56 @@ class _SharedEdge:
             self._need(nid)
             if names[nid] != name:
                 self.sweep.append((name, self._refs[nid]))
-        self.covers = self._cover_runs(covers)
+        self.trie = self._render(trie)
         self.stops = [(self._site(pred), self._site(en)) for pred, en in stops]
         self.nexts = [self._site(nid) for nid in nexts]
         self.writes = [
             replace(write, addr=self._site(addr), data=self._site(data), en=self._site(en))
             for write, addr, data, en in writes
         ]
+
+    def _split(self, nid: int, positive: bool, literals: dict) -> bool:
+        """Add the literals of node ``nid`` to ``literals``; False if it cannot hold.
+
+        :func:`repro.analysis.implication.decompose`'s rule over the
+        DAG: a one-bit ``and`` is flattened, a one-bit ``not`` peeled
+        into the polarity, and a constant either drops out or makes the
+        condition unsatisfiable, as does a node tested both ways.  A
+        single-bit test ``bits(src, k, k)`` of a wider ``src`` also
+        implies the literal ``src != 0``.
+        """
+        dag = self.dag
+        expr = dag.exprs[nid]
+        kind = type(expr)
+        if kind is PrimOp and bit_width(expr.type) == 1:
+            if expr.op == "not":
+                return self._split(dag.kids[nid][0], not positive, literals)
+            if expr.op == "and" and positive:
+                left, right = dag.kids[nid]
+                return self._split(left, True, literals) and self._split(right, True, literals)
+        if kind is UIntLiteral or kind is SIntLiteral:
+            return bool(literal_value(expr)) == positive
+        seen = literals.get(nid)
+        if seen is not None and seen[0] != positive:
+            return False
+        literals[nid] = (positive, False)
+        if (seen is None and positive and kind is PrimOp and expr.op == "bits"
+                and expr.consts[0] == expr.consts[1]):
+            (src,) = dag.kids[nid]
+            if bit_width(dag.exprs[src].tpe) > 1:
+                literals.setdefault(src, (True, True))
+        return True
+
+    def _render(self, items: list) -> list:
+        """The trie over node ids, as the :class:`Literal` tests a renderer emits."""
+        out: list = []
+        for item in items:
+            if type(item) is int:
+                out.append(item)
+                continue
+            literals = tuple(Literal(self._site(nid), positive) for nid, positive in item.literals)
+            out.append(_Branch(literals, self._render(item.then), self._render(item.orelse)))
+        return out
 
     def _expr(self, nid: int) -> Expr:
         """Node ``nid`` as an effect reads it: its reference, or its inline tree."""
@@ -330,43 +491,16 @@ class _SharedEdge:
         self._need(nid)
         return self._expr(nid)
 
-    def _cover_runs(self, covers: list[tuple[int, int, int]]) -> list:
-        """Covers in statement order, bit tests of one source guarded.
 
-        Consecutive single-bit ``bits(src, k, k)`` tests of one
-        referenced source sit behind one guard on it, whatever their
-        enables: each cover keeps its own ``(pred, en)``.
-        """
-        items: list = []
-        for src, run in _runs(covers, lambda cover: self._bit_source(cover[1])):
-            sites = [(slot, self._site(pred), self._site(en)) for slot, pred, en in run]
-            if src is None or len(sites) < 2:
-                items += sites
-            else:
-                items.append(_Guard(self._expr(src), sites))
-        return items
-
-    def _bit_source(self, nid: int) -> Optional[int]:
-        """The source of a ``bits(src, k, k)`` test of a reference, else None."""
-        expr = self.dag.exprs[nid]
-        if type(expr) is not PrimOp or expr.op != "bits" or expr.consts[0] != expr.consts[1]:
-            return None
-        (src,) = self.dag.kids[nid]
-        if src in self._refs or type(self.dag.exprs[src]) is Ref:
-            return src
-        return None
-
-
-def _runs(items: list, key) -> list[tuple[object, list]]:
-    """``items`` split into maximal runs of one ``key``, in order."""
-    runs: list[tuple[object, list]] = []
+def _tested(items: list) -> list[int]:
+    """The node id of every literal test in a trie, one per test."""
+    out: list[int] = []
     for item in items:
-        k = key(item)
-        if runs and runs[-1][0] == k:
-            runs[-1][1].append(item)
-        else:
-            runs.append((k, [item]))
-    return runs
+        if type(item) is not int:
+            out += [nid for nid, _ in item.literals]
+            out += _tested(item.then)
+            out += _tested(item.orelse)
+    return out
 
 
 class Schedule:
@@ -374,10 +508,14 @@ class Schedule:
 
     Construction resolves names and slots only; the width scan, the
     bounded settle sweep (:attr:`comb`) and the shared edge
-    (:attr:`refs`, :meth:`walk`) are built on first use, each in
-    O(expression nodes).  Renderers and the simulations that drive their
-    output share one per compiled model, so a simulation of an
-    already-rendered model never builds the shared edge.
+    (:attr:`refs`, :meth:`walk`) are built on first use.  The shared
+    edge's temporaries and its one cover decision trie — every literal
+    the covers share tested once, ties broken by statement order, at
+    most :data:`MAX_TRIE_DEPTH` tests deep — depend on the model alone,
+    so the source each renderer emits does too.  Renderers and the
+    simulations that drive their output share one per compiled model, so
+    a simulation of an already-rendered model never builds the shared
+    edge.
     """
 
     def __init__(self, model: CircuitModel) -> None:
@@ -481,29 +619,24 @@ class Schedule:
         ``target`` receives, in order: ``assign(name, expr)`` per comb
         signal and per shared temporary (:attr:`refs` holds both
         identifiers), dependencies first; ``settled()`` once the comb
-        sweep is done; ``cover(slot, pred, en)`` per cover, where runs of
-        covers that test single bits of one source sit between
-        ``guard(expr)`` and ``unguard()`` — a guard only skips work when
-        ``expr`` is zero, every cover inside keeps its own ``pred`` and
-        ``en``, and guards do not nest;
-        ``stop(index, pred, en)`` per stop in statement order — the first
-        that fires wins, and its index is what the simulation reports;
-        ``next(index, expr)`` per register; ``write(effect)`` per memory
-        write, whose operands read pre-edge memory; and ``commit(index,
-        name)`` per register, after every read of the old state.
+        sweep is done; the cover trie, as ``count(slot)`` (add one to
+        the slot's counter), ``branch(literals)`` (what follows holds
+        only where every :class:`Literal` holds), ``else_()`` (what
+        follows holds only where the branch's literals do not) and
+        ``end()`` (close the innermost branch) — arms are never empty,
+        only a one-literal branch has an ``else_``, and branches nest at
+        most :data:`MAX_TRIE_DEPTH` + 1 deep; ``stop(index, pred, en)``
+        per stop in statement order — the first that fires wins, and its
+        index is what the simulation reports; ``next(index, expr)`` per
+        register; ``write(effect)`` per memory write, whose operands
+        read pre-edge memory; and ``commit(index, name)`` per register,
+        after every read of the old state.
         """
         edge = self._edge
         for name, expr in edge.sweep:
             target.assign(name, expr)
         target.settled()
-        for item in edge.covers:
-            if type(item) is _Guard:
-                target.guard(item.expr)
-                for cover in item.covers:
-                    target.cover(*cover)
-                target.unguard()
-            else:
-                target.cover(*item)
+        _walk_trie(edge.trie, target)
         for index, (pred, en) in enumerate(edge.stops):
             target.stop(index, pred, en)
         for index, expr in enumerate(edge.nexts):
@@ -512,3 +645,16 @@ class Schedule:
             target.write(write)
         for index, reg in enumerate(self.model.registers):
             target.commit(index, reg.name)
+
+
+def _walk_trie(items: list, target) -> None:
+    for item in items:
+        if type(item) is int:
+            target.count(item)
+            continue
+        target.branch(item.literals)
+        _walk_trie(item.then, target)
+        if item.orelse:
+            target.else_()
+            _walk_trie(item.orelse, target)
+        target.end()

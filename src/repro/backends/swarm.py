@@ -67,11 +67,20 @@ def lane_stride(model: CircuitModel) -> int:
 class _LaneRenderer:
     """Emits one packed edge of a swarm ``run`` loop from the schedule walk.
 
-    ``masked`` ANDs cover/stop/memory-write masks with the active-lane
-    set; the unmasked variant serves stop-free models, where ``active``
-    cannot change inside one ``run`` call — when every lane is live the
-    masking would be pure overhead (one extra wide-int op per cover per
-    cycle, the dominant cost on toggle-instrumented designs).
+    The cover trie becomes a lane-mask tree: each branch narrows the
+    enclosing mask to the lanes where its literals hold (a one-bit value
+    holds lane-base bits only, so a literal is one AND, its negation an
+    AND-NOT), skips its arm when no lane is left, and its ``else`` arm
+    takes ``parent ^ then``.  An implied ``src != 0`` literal only skips
+    work: the bit tests beneath it mask their own lanes.  A count adds
+    the enclosing mask into the slot's bit planes.
+
+    ``masked`` starts the tree from the active-lane set (the mask at
+    cycle start, so the cycle a lane stops on still counts, exactly like
+    the scalar order) and ANDs stop/memory-write masks with it; the
+    unmasked variant serves stop-free models, where ``active`` cannot
+    change inside one ``run`` call — when every lane is live the masking
+    would be pure overhead.
     """
 
     def __init__(self, schedule: Schedule, emitter: SwarmEmitter,
@@ -80,6 +89,10 @@ class _LaneRenderer:
         self.emitter = emitter
         self.body = body
         self.masked = masked
+        #: the enclosing lane mask; None is every lane
+        self.mask: Optional[str] = "active" if masked else None
+        #: per open branch: the mask around it, its own, and the levels it indents
+        self.open: list[tuple[Optional[str], Optional[str], int]] = []
 
     def assign(self, name, expr) -> None:
         self.body.emit(f"{self.ids[name]} = {self.emitter.gen(expr)}")
@@ -87,37 +100,55 @@ class _LaneRenderer:
     def settled(self) -> None:
         pass
 
-    def guard(self, expr) -> None:
-        # non-zero when any lane is: each cover inside still ANDs in its
-        # own enable, so a lane counts only under its own
-        self.body.emit(f"if {self.emitter.gen(expr)}:")
-        self.body.depth += 1
-
-    def unguard(self) -> None:
-        self.body.depth -= 1
-
-    def cover(self, slot, pred, en) -> None:
-        # the mask used for sampling is the mask at cycle start, so the
-        # cycle a lane stops on still counts, exactly like the scalar order
-        body, emitter = self.body, self.emitter
-        active = " & active" if self.masked else ""
-        if type(pred) is PrimOp and pred.op == "bits" and pred.consts[0] == pred.consts[1]:
-            # a single-bit test (toggle coverage): the enable holds
-            # lane-base bits only, so it masks bit k into place itself,
-            # and for k > 0 an in-place test — one AND, no shift — skips
-            # the cover when no lane has the bit
-            k = pred.consts[0]
-            src, enable = emitter.gen(pred.args[0]), emitter.gen(en)
-            if k:
-                body.emit(f"_m = {src} & {emitter.rep(1 << k)}")
-                body.emit("if _m:")
-                body.emit(f"    _m = {enable} & (_m >> {k}){active}")
-                body.emit(f"    if _m: _vadd(c_{slot}, _m)")
-                return
-            body.emit(f"_m = {enable} & {src}{active}")
+    def branch(self, literals) -> None:
+        body, emitter, parent = self.body, self.emitter, self.mask
+        if bit_width(literals[0].expr.tpe) > 1:
+            # an implied src != 0 literal, never in a conjunction
+            body.emit(f"if {emitter.gen(literals[0].expr)}:")
+            body.depth += 1
+            self.open.append((parent, parent, 1))
+            return
+        name, levels = f"_m{len(self.open)}", 1
+        expr = literals[0].expr
+        if (len(literals) == 1 and literals[0].positive and type(expr) is PrimOp
+                and expr.op == "bits" and expr.consts[0]):
+            # a single-bit test: an in-place AND — no shift — skips the
+            # arm when no lane has the bit
+            k = expr.consts[0]
+            body.emit(f"{name} = {emitter.gen(expr.args[0])} & {emitter.rep(1 << k)}")
+            body.emit(f"if {name}:")
+            body.depth += 1
+            shifted = f"({name} >> {k})"
+            body.emit(f"{name} = {parent} & {shifted}" if parent else f"{name} = {shifted}")
+            levels = 2
         else:
-            body.emit(f"_m = {emitter.predicate(pred, en)}{active}")
-        body.emit(f"if _m: _vadd(c_{slot}, _m)")
+            factors = [parent] if parent else []
+            factors += [emitter.gen(lit.expr) for lit in literals if lit.positive]
+            factors = factors or ["_R1"]
+            factors += [f"~{emitter.gen(lit.expr)}" for lit in literals if not lit.positive]
+            body.emit(f"{name} = {' & '.join(factors)}")
+        body.emit(f"if {name}:")
+        body.depth += 1
+        self.open.append((parent, name, levels))
+        self.mask = name
+
+    def else_(self) -> None:
+        parent, name, levels = self.open[-1]
+        body = self.body
+        body.depth -= levels
+        body.emit(f"{name} = {parent or '_R1'} ^ {name}")
+        body.emit(f"if {name}:")
+        body.depth += 1
+        self.open[-1] = (parent, name, 1)
+        self.mask = name
+
+    def end(self) -> None:
+        parent, _, levels = self.open.pop()
+        self.body.depth -= levels
+        self.mask = parent
+
+    def count(self, slot) -> None:
+        self.body.emit(f"_vadd(c_{slot}, {self.mask or '_R1'})")
 
     def stop(self, index, pred, en) -> None:
         # claim in statement order: a lane removed by an earlier stop is

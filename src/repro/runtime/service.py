@@ -45,6 +45,7 @@ Endpoints: ``POST /submit``, ``GET /status/<id>``, ``GET /campaigns``,
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import hashlib
 import json
@@ -492,6 +493,26 @@ class PreparedCampaign:
                 factory()
 
 
+@contextlib.contextmanager
+def _fork_cache(isolation: str):
+    """A memory-only default model cache while a process-isolated run has none.
+
+    So :meth:`PreparedCampaign.warm` compiles before the fork on a
+    library call too, and the forked attempts inherit the entry; the
+    previous default (none) is put back when the run ends.
+    """
+    from ..backends import ModelCache, default_cache, set_default_cache
+
+    if isolation != "process" or default_cache() is not None:
+        yield
+        return
+    previous = set_default_cache(ModelCache())
+    try:
+        yield
+    finally:
+        set_default_cache(previous)
+
+
 def execute_spec(
     spec: CampaignSpec,
     campaign_id: str,
@@ -526,7 +547,9 @@ def execute_spec(
     ``cpu_limit_s``).  ``progress`` (optional ``fn(job_id, cycle,
     counts)``) is forwarded to the executor's checkpoint-boundary hook —
     the seam the service's live partial reports and the cluster workers'
-    delta streams hang off.
+    delta streams hang off.  With process isolation the campaign compiles
+    once, here, before any attempt forks, whether or not a default model
+    cache is installed.
     """
     from ..backends import BACKENDS
 
@@ -554,13 +577,14 @@ def execute_spec(
     )
     if swarm:
         job.read_counts = operator.methodcaller("merged_cover_counts")
-    plan.warm([job.make_sim], isolation)
-    result = executor.run_campaign(
-        [job],
-        known_names=plan.names,
-        counter_width=spec.counter_width,
-        resume=resume and checkpointer is not None,
-    )
+    with _fork_cache(isolation):
+        plan.warm([job.make_sim], isolation)
+        result = executor.run_campaign(
+            [job],
+            known_names=plan.names,
+            counter_width=spec.counter_width,
+            resume=resume and checkpointer is not None,
+        )
     outcome = result.outcomes[0]
     run = dict(cycles_run=outcome.cycles_run, attempts=outcome.attempts,
                result=result)

@@ -7,10 +7,17 @@ values: which of two stops firing on the same edge is reported, memory
 write data wider than the element, a signed reset value narrower than
 its register, writes that read a memory written earlier in the edge,
 out-of-range memory addresses, a depth-1 memory, shared subexpressions
-and guarded cover runs.
+and the shapes of the cover trie: bit tests under one test of their
+source, an ``else`` arm, nested whens, a contradictory cover, two covers
+sharing one name and a when chain deeper than the trie's depth cap.
 """
 
+import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +33,12 @@ from repro.backends import (
 from repro.backends.cbackend import generate_c_source
 from repro.backends.model import build_model
 from repro.backends.pycodegen import render_python
-from repro.backends.schedule import Schedule
-from repro.ir import parse_circuit
+from repro.backends.schedule import MAX_TRIE_DEPTH, Schedule
+from repro.backends.swarm import generate_swarm_source
+from repro.coverage import instrument
+from repro.hcl import Module, elaborate
+from repro.ir import parse_circuit, print_expr
+from repro.passes import CompileState, lower
 
 TIERS = {
     "treadle-interpreter": lambda: TreadleBackend(jit=False),
@@ -337,19 +348,275 @@ def test_temporaries_are_not_signals():
     assert f"repro_num_signals(void) {{ return {len(signals)}u; }}" in source
 
 
+_TRIE_EVENTS = ("branch", "else_", "end", "count")
+
+
 class _Recorder:
+    """Records the cover-trie events of a walk as short tokens."""
+
     def __init__(self):
-        self.calls = []
+        self.tokens = []
 
     def __getattr__(self, name):
-        return lambda *args: self.calls.append(name)
+        if name not in _TRIE_EVENTS:
+            return lambda *args: None
+        return lambda *args: self.tokens.append(_token(name, *args))
+
+
+def _token(name, *args):
+    if name == "branch":
+        (literals,) = args
+        return "if " + " & ".join(
+            print_expr(lit.expr) if lit.positive else f"!{print_expr(lit.expr)}"
+            for lit in literals
+        )
+    if name == "count":
+        return f"count {args[0]}"
+    return name
+
+
+def _trie(circuit_or_state):
+    """The cover-trie events of one edge, as tokens, and the schedule."""
+    schedule = Schedule(build_model(circuit_or_state))
+    recorder = _Recorder()
+    schedule.walk(recorder)
+    return recorder.tokens, schedule
+
+
+def _enclosing(tokens, index):
+    """The ``if`` tokens enclosing ``tokens[index]``, outermost first."""
+    stack = []
+    for token in tokens[:index]:
+        if token.startswith("if "):
+            stack.append(token)
+        elif token == "end":
+            stack.pop()
+    return stack
 
 
 def test_bit_covers_of_one_source_sit_behind_one_guard():
-    recorder = _Recorder()
-    Schedule(build_model(parse_circuit(GUARDED))).walk(recorder)
-    start = recorder.calls.index("settled") + 1
-    assert recorder.calls[start:start + 6] == ["guard"] + ["cover"] * 4 + ["unguard"]
+    # the guard is the trie's one test of x != 0, implied by each bit test
+    tokens, schedule = _trie(parse_circuit(GUARDED))
+    assert tokens.count("if x") == 1
+    counts = [i for i, token in enumerate(tokens) if token.startswith("count")]
+    assert len(counts) == 4
+    for index in counts:
+        assert "if x" in _enclosing(tokens, index)
+        assert "if en" in _enclosing(tokens, index)
+    # en is tested once too, and each bit once
+    assert tokens.count("if en") == 1
+    assert len(tokens) == 3 * 4 + 2 * 2
+
+
+def _drive(sim, inputs, seed=5, cycles=150):
+    rng = random.Random(seed)
+    for cycle in range(cycles):
+        sim.poke("reset", int(cycle == 0))
+        for name, width in inputs:
+            sim.poke(name, rng.getrandbits(width))
+        sim.step(1)
+    return sim.cover_counts()
+
+
+def _matches_interpreter(backend, circuit_or_state, inputs):
+    """Counts on ``backend`` over random inputs, held to the interpreter's."""
+    compile_ = "compile_state" if isinstance(circuit_or_state, CompileState) else "compile"
+    expected = _drive(getattr(TreadleBackend(jit=False), compile_)(circuit_or_state), inputs)
+    assert _drive(getattr(backend, compile_)(circuit_or_state), inputs) == expected
+    return expected
+
+
+# a mux select and its negation (mux-toggle's pair), and a third cover
+# that shares the select
+PAIR = """
+circuit Pair {
+  module Pair {
+    input clock : Clock
+    input reset : UInt<1>
+    input s : UInt<1>
+    input a : UInt<3>
+    output o : UInt<1>
+
+    o <= s
+    cover(clock, s, UInt<1>("h1")) : sel_hi
+    cover(clock, not(s), UInt<1>("h1")) : sel_lo
+    cover(clock, and(s, bits(a, 1, 1)), UInt<1>("h1")) : sel_a1
+  }
+}
+"""
+
+
+def test_complementary_covers_share_one_test_with_an_else_arm(backend):
+    tokens, schedule = _trie(parse_circuit(PAIR))
+    hi, lo, a1 = (schedule.slots[name] for name in ("sel_hi", "sel_lo", "sel_a1"))
+    assert tokens == [
+        "if s", f"count {hi}", "if bits(a, 1, 1)", f"count {a1}", "end",
+        "else_", f"count {lo}", "end",
+    ]
+    counts = _matches_interpreter(backend, parse_circuit(PAIR), [("s", 1), ("a", 3)])
+    assert counts["sel_hi"] + counts["sel_lo"] == 150
+    assert 0 < counts["sel_a1"] < counts["sel_hi"]
+
+
+class _Nested(Module):
+    def build(self, m):
+        a, b, c = m.input("a"), m.input("b"), m.input("c")
+        out = m.output("o", 2)
+        out <<= m.lit(0, 2)
+        with m.when(a):
+            out <<= m.lit(1, 2)
+            with m.when(b):
+                out <<= m.lit(2, 2)
+            with m.otherwise():
+                with m.when(c):
+                    out <<= m.lit(3, 2)
+
+
+def test_nested_when_covers_nest_in_the_trie(backend):
+    state, _ = instrument(elaborate(_Nested()), metrics=["line"])
+    tokens, schedule = _trie(state)
+    # line coverage: the module, when a, when b, its otherwise, when c
+    top, in_a, in_b, not_b, in_c = (f"count {slot}" for slot in schedule.slots.values())
+    assert tokens == [
+        top, "if a", in_a, "if b", in_b, "else_", not_b, "if c", in_c, "end", "end", "end",
+    ]
+    counts = _matches_interpreter(backend, state, [("a", 1), ("b", 1), ("c", 1)])
+    assert len(counts) == 5 and all(counts.values())
+
+
+CONTRADICTION = """
+circuit Contradiction {
+  module Contradiction {
+    input clock : Clock
+    input reset : UInt<1>
+    input a : UInt<1>
+    input b : UInt<1>
+    output o : UInt<1>
+
+    o <= a
+    cover(clock, and(a, not(a)), UInt<1>("h1")) : never
+    cover(clock, b, and(not(b), a)) : never_either
+    cover(clock, a, UInt<1>("h1")) : sometimes
+  }
+}
+"""
+
+
+def test_contradictory_cover_renders_nowhere_and_reads_zero(backend):
+    circuit = parse_circuit(CONTRADICTION)
+    tokens, schedule = _trie(circuit)
+    assert tokens == ["if a", f"count {schedule.slots['sometimes']}", "end"]
+    counts = _matches_interpreter(backend, circuit, [("a", 1), ("b", 1)])
+    assert counts["never"] == counts["never_either"] == 0
+    assert counts["sometimes"] > 0
+
+
+SAME_NAME = """
+circuit SameName {
+  module SameName {
+    input clock : Clock
+    input reset : UInt<1>
+    input a : UInt<1>
+    input b : UInt<1>
+    output o : UInt<1>
+
+    o <= a
+    cover(clock, a, UInt<1>("h1")) : first
+    cover(clock, b, a) : second
+    cover(clock, not(a), UInt<1>("h1")) : third
+    cover(clock, and(b, not(b)), UInt<1>("h1")) : fourth
+  }
+}
+"""
+
+
+def test_covers_sharing_one_name_share_one_counter(backend):
+    # flattening names covers by instance path; two paths naming one
+    # canonical key is what a shared counter looks like to the backends
+    state = lower(parse_circuit(SAME_NAME))
+    shared = {"first": "hit", "second": "hit", "third": "miss", "fourth": "miss"}
+    state = CompileState(state.circuit, shared)
+    tokens, schedule = _trie(state)
+    assert schedule.slots == {"hit": 0, "miss": 1}
+    assert tokens.count("count 0") == 2
+    counts = _matches_interpreter(backend, state, [("a", 1), ("b", 1)])
+    assert counts["hit"] > counts["miss"] > 0
+
+
+CHAIN = 150
+#: selects before, at and past the depth cap, and past the chain's end
+CHAIN_SELECTS = [0, 2, 31, 32, 33, 90, 149, 150, 255, 33]
+
+
+class _Chain(Module):
+    def build(self, m):
+        sel = m.input("sel", 8)
+        out = m.output("o", 8)
+        out <<= m.lit(0, 8)
+        with m.when(sel == m.lit(0, 8)):
+            out <<= m.lit(1, 8)
+        for k in range(1, CHAIN):
+            with m.elsewhen(sel == m.lit(k, 8)):
+                out <<= m.lit(k + 1 & 0xFF, 8)
+
+
+@functools.lru_cache(maxsize=1)
+def _chain():
+    """The line-instrumented chain and the interpreter's counts over the selects."""
+    state, _ = instrument(elaborate(_Chain()), metrics=["line"])
+    return state, _drive_chain(TreadleBackend(jit=False).compile_state(state))
+
+
+def _drive_chain(sim):
+    for sel in CHAIN_SELECTS:
+        sim.poke("sel", sel)
+        sim.step(1)
+    return sim.cover_counts()
+
+
+@pytest.mark.parametrize("tier", sorted(set(TIERS) - {"treadle-interpreter"}))
+def test_when_chain_past_the_depth_cap_compiles_and_counts(tier):
+    backend = TIERS[tier]()
+    state, expected = _chain()
+    tokens, _ = _trie(state)
+    depth = max(len(_enclosing(tokens, i)) for i in range(len(tokens)))
+    assert depth == MAX_TRIE_DEPTH + 1
+    assert sum(1 for count in expected.values() if count) > len(set(CHAIN_SELECTS))
+    assert _drive_chain(backend.compile_state(state)) == expected
+
+
+_RENDER = """
+import hashlib, sys
+from repro.backends.cbackend import generate_c_source
+from repro.backends.model import build_model
+from repro.backends.pycodegen import render_python
+from repro.backends.swarm import generate_swarm_source
+from repro.coverage import instrument
+from repro.designs import RiscvMini
+from repro.hcl import elaborate
+
+state, _ = instrument(elaborate(RiscvMini()), metrics=sys.argv[1:])
+model = build_model(state)
+for source in (render_python(model), generate_c_source(model), generate_swarm_source(model, 4)):
+    print(hashlib.sha256(source.encode()).hexdigest())
+"""
+
+
+def test_generated_sources_do_not_depend_on_the_hash_seed():
+    metrics = ["line", "toggle", "fsm", "ready_valid", "mux_toggle"]
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _RENDER, *metrics],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE, text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    digests = [run.communicate(timeout=300)[0].split() for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
 
 
 def test_guarded_swarm_lanes_count_under_their_own_enable():

@@ -113,11 +113,37 @@ def expressions(draw, leaves: list[Expr], depth: int = 3) -> Expr:
 
 
 @st.composite
+def cover_conditions(draw, atoms: list[Expr], depth: int = 2) -> Expr:
+    """A random ``UInt<1>`` cover condition over the 1-bit ``atoms``.
+
+    Mostly an atom, so literals repeat across covers; otherwise a
+    negation, a conjunction, a constant true or false, or a
+    contradiction ``and(a, not(a))``.
+    """
+    kind = draw(st.integers(0, 6)) if depth else 0
+    if kind <= 2:
+        return draw(st.sampled_from(atoms))
+    if kind == 3:
+        return prim("not", draw(cover_conditions(atoms, depth - 1)))
+    if kind == 4:
+        left = draw(cover_conditions(atoms, depth - 1))
+        return prim("and", left, draw(cover_conditions(atoms, depth - 1)))
+    if kind == 5:
+        return UIntLiteral(draw(st.integers(0, 1)), 1)
+    atom = draw(st.sampled_from(atoms))
+    return prim("and", atom, prim("not", atom))
+
+
+@st.composite
 def random_circuits(draw, n_nodes: int = 6, n_regs: int = 2):
     """A random single-module sequential circuit with covers.
 
     Inputs: in_a (8), in_b (4), in_c (1).  Output: out.  Low-form by
-    construction (no whens) so it can feed any backend directly.
+    construction (no whens) so it can feed any backend directly.  The
+    covers' predicates and enables (:func:`cover_conditions`) draw
+    conjunctions, negations, complementary pairs, literals shared across
+    covers, constant-false and contradictory conditions, and single-bit
+    tests of one multi-bit node.
     """
     ports = [
         Port("clock", "input", CLOCK),
@@ -163,12 +189,25 @@ def random_circuits(draw, n_nodes: int = 6, n_regs: int = 2):
             value = raw
         body.append(Connect(Ref(name, UIntType(width)), value))
 
-    # covers over random 1-bit predicates
-    n_covers = draw(st.integers(1, 3))
-    for i in range(n_covers):
-        pred_src = draw(st.sampled_from(leaves))
-        pred = prim("orr", pred_src)
-        body.append(Cover(f"c{i}", clock, pred, UIntLiteral(1, 1)))
+    # covers whose pred and en reach every shape the cover trie rewrites
+    atoms = [prim("orr", draw(st.sampled_from(leaves))) for _ in range(draw(st.integers(1, 3)))]
+    atoms.append(Ref("in_c", UIntType(1)))
+    wide = [leaf for leaf in leaves if bit_width(leaf.tpe) > 1]
+    if wide:  # single-bit tests of one multi-bit node
+        src = draw(st.sampled_from(wide))
+        bits = st.integers(0, bit_width(src.tpe) - 1)
+        for k in draw(st.lists(bits, min_size=1, max_size=3, unique=True)):
+            atoms.append(prim("bits", src, consts=[k, k]))
+    n_covers = draw(st.integers(1, 5))
+    index = 0
+    for _ in range(n_covers):
+        pred = draw(cover_conditions(atoms))
+        en = draw(st.one_of(st.just(UIntLiteral(1, 1)), cover_conditions(atoms)))
+        body.append(Cover(f"c{index}", clock, pred, en))
+        index += 1
+        if draw(st.booleans()):  # its complement, under the same enable
+            body.append(Cover(f"c{index}", clock, prim("not", pred), en))
+            index += 1
 
     out_src = draw(st.sampled_from(leaves))
     out_u = prim("asUInt", out_src)

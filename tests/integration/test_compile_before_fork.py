@@ -5,13 +5,16 @@ without ``--model-cache-dir``.  With ``--isolation process`` the parent
 therefore compiles before it forks, and the child's compile is a hit on
 the entry it inherits: one miss and one hit in ``--metrics-out``.  A
 child that compiled for itself sent no heartbeat while it did, and on
-``c`` a large design was killed for that silence at cycle 0.
+``c`` a large design was killed for that silence at cycle 0.  A library
+call of ``execute_spec`` with no default cache installed does the same,
+and leaves no default cache behind.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.backends import default_cache
 from repro.backends.cbackend import find_compiler
 from repro.cli import main
 from repro.coverage import instrument
@@ -19,6 +22,7 @@ from repro.designs.serv import SerialGcd
 from repro.hcl import elaborate
 from repro.ir import print_circuit
 from repro.runtime import obs, process_isolation_available
+from repro.runtime.service import DONE, CampaignSpec, execute_spec
 from repro.runtime.telemetry import parse_prometheus
 
 pytestmark = pytest.mark.skipif(
@@ -65,3 +69,26 @@ def test_process_isolation_without_a_cache_dir_compiles_once(design, tmp_path,
     assert cache_total(metrics, "repro_model_cache_misses_total", backend) == 1
     assert cache_total(metrics, "repro_model_cache_hits_total", backend) == 1
     assert counts == thread_counts
+
+
+@pytest.mark.parametrize("backend", ["treadle", "c"])
+def test_library_call_without_a_default_cache_compiles_once(design, backend):
+    if backend == "c" and find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    assert default_cache() is None
+    spec = CampaignSpec(tenant="lib", circuit=design.read_text(), backend=backend,
+                        cycles=300, seed=3)
+    thread = execute_spec(spec, "thread", None, isolation="thread")
+    obs.reset()
+    obs.enable()
+    try:
+        process = execute_spec(spec, "process", None, isolation="process")
+        metrics = obs.metrics.snapshot()["metrics"]
+    finally:
+        obs.disable()
+        obs.reset()
+    assert default_cache() is None
+    assert process.status == thread.status == DONE
+    assert process.counts == thread.counts
+    assert cache_total(metrics, "repro_model_cache_misses_total", backend) == 1
+    assert cache_total(metrics, "repro_model_cache_hits_total", backend) == 1
