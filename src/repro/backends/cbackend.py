@@ -16,7 +16,8 @@ symbol                             role
 ``repro_step(s, n, words, …)``     run ``n`` rising edges, return cycles done
 ``repro_halted``                   fired stop index, or -1 while running
 ``repro_poke`` / ``repro_peek``    write an input / read any signal by index
-``repro_read_covers``              copy the raw 64-bit cover counters out
+``repro_read_covers``              flush the toggle runs, copy the raw
+                                   64-bit cover counters out
 ``repro_abi_version`` & friends    load-time sanity checks on the artifact
 ================================== ==========================================
 
@@ -76,7 +77,11 @@ from .treadle import TreadleBackend
 from .verilator import VerilatorSimulation
 
 #: Version stamped into (and checked out of) every generated artifact.
-C_ABI_VERSION = 2
+C_ABI_VERSION = 3
+
+#: Bit planes per toggle-run counter: a run counts up to ``2**RUN_PLANES - 1``
+#: per bit before the planes flush into the 64-bit slot counters.
+RUN_PLANES = 12
 
 #: Every value crosses the ABI as this many little-endian 64-bit words,
 #: regardless of the model's word width — peek/poke are not hot paths.
@@ -400,12 +405,18 @@ def _decode(width: int, index: int) -> str:
 
 
 class _StepRenderer:
-    """Emits one edge of the ``repro_step`` loop from the schedule walk."""
+    """Emits one edge of the ``repro_step`` loop from the schedule walk.
+
+    A toggle run (``count_bits``) is a carry-save add of its masked
+    source into the run's bit planes along time, ``s->runs[j]``: plane
+    ``p`` holds bit ``p`` of every bit's count since the last flush.
+    """
 
     def __init__(self, schedule: Schedule, gen: _CExprGen, b: CodeBuilder) -> None:
         self.ids = schedule.refs
         self.gen = gen
         self.b = b
+        self.run = 0
 
     def assign(self, name, expr) -> None:
         self.b.emit(f"const uN {self.ids[name]} = {self.gen.gen(expr)};")
@@ -433,6 +444,11 @@ class _StepRenderer:
     def count(self, slot) -> None:
         self.b.emit(f"cov[{slot}] += 1;")
 
+    def count_bits(self, src, bits) -> None:
+        covered = self.gen.lit(sum(1 << k for k, _ in bits))
+        self.b.emit(f"_radd(s->runs[{self.run}], {self.gen.gen(src)} & {covered});")
+        self.run += 1
+
     def stop(self, index, pred, en) -> None:
         keyword = "else if" if index else "if"
         self.b.emit(f"{keyword} ({self.gen.predicate(pred, en)}) s->halted = {index};")
@@ -452,16 +468,59 @@ class _StepRenderer:
         self.b.emit(f"{self.ids[name]} = n_{index};")
 
 
+def _run_helpers(schedule: Schedule, b: CodeBuilder) -> None:
+    """``_radd`` and ``_flush``, the toggle runs' counter arithmetic.
+
+    ``_radd`` ripples a run's masked source through its planes without a
+    branch.  ``_flush`` adds every run bit's plane count into its slot
+    counter from one table of ``{run, bit, slot}`` rows, then clears the
+    planes and ``pend``, the edges since the last flush.
+    """
+    b.emit("static inline void _radd(uN* r, uN c) {")
+    b.depth += 1
+    b.emit("uN t;")
+    for p in range(RUN_PLANES - 1):
+        b.emit(f"t = r[{p}] & c; r[{p}] ^= c; c = t;")
+    b.emit(f"r[{RUN_PLANES - 1}] ^= c;")
+    b.depth -= 1
+    b.emit("}")
+    b.emit()
+    rows = [(j, k, slot) for j, bits in enumerate(schedule.runs) for k, slot in bits]
+    b.emit(f"static const uint32_t _run_bits[{len(rows)}][3] = {{")
+    for j, k, slot in rows:
+        b.emit(f"    {{{j}, {k}, {slot}}},")
+    b.emit("};")
+    b.emit()
+    b.emit("static void _flush(state_t* s) {")
+    b.depth += 1
+    b.emit(f"for (uint32_t i = 0; i < {len(rows)}u; i++) {{")
+    b.emit("    const uN* r = s->runs[_run_bits[i][0]];")
+    b.emit("    const uint32_t k = _run_bits[i][1];")
+    b.emit("    uint64_t n = 0;")
+    b.emit(f"    for (uint32_t p = 0; p < {RUN_PLANES}u; p++) n |= (uint64_t)((r[p] >> k) & 1) << p;")
+    b.emit("    s->covers[_run_bits[i][2]] += n;")
+    b.emit("}")
+    b.emit("memset(s->runs, 0, sizeof(s->runs));")
+    b.emit("s->pend = 0;")
+    b.depth -= 1
+    b.emit("}")
+    b.emit()
+
+
 def generate_c_source(model: CircuitModel) -> str:
     """Emit the complete C99 translation unit for ``model``.
 
     One ``state_t`` struct holds every signal (inputs, registers, and —
     refreshed by ``repro_settle`` — combinational values), the memories,
-    the raw 64-bit cover counters (one per slot), and the fired-stop
-    index.  The hot ``repro_step`` loop is the schedule walk, keeping
-    input and register state in locals and touching the struct only for
-    covers/stops/memories, like the scalar Python renderer's fused loop;
-    given a block's words it sets each named input before each edge.
+    the raw 64-bit cover counters (one per slot), the toggle runs' bit
+    planes with ``pend``, and the fired-stop index.  The hot
+    ``repro_step`` loop is the schedule walk, keeping input and register
+    state in locals and touching the struct only for
+    covers/runs/stops/memories, like the scalar Python renderer's fused
+    loop; given a block's words it sets each named input before each
+    edge.  The runs flush into the slot counters every
+    ``2**RUN_PLANES - 1`` edges, before any run bit's count can outgrow
+    its planes, and at every ``repro_read_covers``.
 
     Raises :class:`CUnsupportedCircuit` when any intermediate value
     exceeds 128 bits.
@@ -470,6 +529,7 @@ def generate_c_source(model: CircuitModel) -> str:
     W = _word(schedule)
     names, ids, mem_ids = schedule.names, schedule.ids, schedule.mem_ids
     n_covers = len(schedule.slots)
+    n_runs = len(schedule.runs)
 
     b = CodeBuilder()
     b.emit("/* Generated by repro.backends.cbackend -- do not edit. */")
@@ -493,10 +553,15 @@ def generate_c_source(model: CircuitModel) -> str:
     for memory in model.memories:
         b.emit(f"uN {mem_ids[memory.name]}[{memory.padded_depth}];")
     b.emit(f"uint64_t covers[{max(1, n_covers)}];")
+    if n_runs:
+        b.emit(f"uN runs[{n_runs}][{RUN_PLANES}];")
+        b.emit("uint32_t pend;")
     b.emit("int32_t halted;")
     b.depth -= 1
     b.emit("} state_t;")
     b.emit()
+    if n_runs:
+        _run_helpers(schedule, b)
 
     # -- lifecycle ----------------------------------------------------------
     b.emit("void* repro_create(void) {")
@@ -561,6 +626,8 @@ def generate_c_source(model: CircuitModel) -> str:
             b.emit(f"    if (at[{index}] >= 0) {ids[port.name]} = {value};")
         b.emit("}")
     schedule.walk(_StepRenderer(schedule, local_gen, b))
+    if n_runs:
+        b.emit(f"if (++s->pend == {(1 << RUN_PLANES) - 1}u) _flush(s);")
     b.emit("done += 1;")
     if model.stops:
         b.emit("if (s->halted >= 0) break;")
@@ -620,6 +687,8 @@ def generate_c_source(model: CircuitModel) -> str:
     b.emit("void repro_read_covers(void* p, uint64_t* out) {")
     b.depth += 1
     b.emit("state_t* s = (state_t*)p;")
+    if n_runs:
+        b.emit("_flush(s);")
     if n_covers:
         b.emit(f"memcpy(out, s->covers, {n_covers} * sizeof(uint64_t));")
     else:

@@ -20,14 +20,14 @@ from typing import Callable
 
 from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
 from ..ir.types import bit_width, is_signed, mask
-from .schedule import Schedule
+from .schedule import Schedule, bit_tests
 
 #: Version of the generated-code contract.  Any change to the code a
 #: renderer emits — operator lowering, state layout, cover sampling, the
 #: effect order — must bump it: the content-addressed model cache
 #: (:mod:`repro.backends.modelcache`) mixes it into every cache key, so a
 #: bump invalidates all persisted entries (and C artifacts) at once.
-CODEGEN_VERSION = 6
+CODEGEN_VERSION = 7
 
 RefFn = Callable[[str], str]
 MemFn = Callable[[str], str]
@@ -314,6 +314,13 @@ class _ScalarRenderer:
 
     def count(self, slot: int) -> None:
         self.b.emit(f"cnt[{slot}] += 1")
+
+    def count_bits(self, src: Expr, bits) -> None:
+        # one test per bit: the Python class gains nothing from bit planes
+        for literal, slot in bit_tests(src, bits):
+            self.branch((literal,))
+            self.count(slot)
+            self.end()
 
     def stop(self, index: int, pred: Expr, en: Expr) -> None:
         keyword = "elif" if index else "if"

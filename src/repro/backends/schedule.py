@@ -258,12 +258,70 @@ class _Branch(NamedTuple):
     """A trie node: count ``then`` where every literal holds, else ``orelse``.
 
     Each arm is a list of counter slots and branches; over node ids while
-    the trie is built, over :class:`Literal` once the edge is rendered.
+    the trie is built, over :class:`Literal` once the edge is rendered,
+    when an arm may also hold :class:`_Bits` runs.
     """
 
     literals: tuple
     then: list
     orelse: list
+
+
+class _Bits(NamedTuple):
+    """A toggle run: per ``(k, slot)`` of ``bits``, count ``slot`` where bit ``k`` of ``src`` is set.
+
+    The leaf covers it replaces each tested the positive single bit
+    ``bits(src, k, k)`` of one source; their bits are distinct.
+    """
+
+    src: Expr
+    bits: tuple[tuple[int, int], ...]
+
+
+def bit_tests(src: Expr, bits) -> list[tuple[Literal, int]]:
+    """A run's covers as the leaf tests it replaces: ``(Literal, slot)`` per bit."""
+    return [
+        (Literal(PrimOp("bits", (src,), (k, k), UIntType(1)), True), slot)
+        for k, slot in bits
+    ]
+
+
+def _bit_leaf(item) -> Optional[tuple[Expr, int, int]]:
+    """``(src, k, slot)`` for a rendered leaf that tests one positive ``bits(src, k, k)``."""
+    if type(item) is not _Branch or item.orelse or len(item.literals) != 1:
+        return None
+    (literal,) = item.literals
+    expr = literal.expr
+    if not literal.positive or type(expr) is not PrimOp or expr.op != "bits":
+        return None
+    k, lo = expr.consts
+    if k != lo or len(item.then) != 1 or type(item.then[0]) is not int:
+        return None
+    return expr.args[0], k, item.then[0]
+
+
+def _bit_runs(items: list) -> list:
+    """``items`` with each run of two or more consecutive bit leaves of one source as one :class:`_Bits`."""
+    out: list = []
+    run: list = []
+
+    def close() -> None:
+        if len(run) > 1:
+            out.append(_Bits(run[0][0], tuple((k, slot) for _, k, slot, _ in run)))
+        else:
+            out.extend(item for *_, item in run)
+        run.clear()
+
+    for item in items:
+        leaf = _bit_leaf(item)
+        if run and (leaf is None or leaf[0] != run[0][0] or any(k == leaf[1] for _, k, _, _ in run)):
+            close()
+        if leaf is None:
+            out.append(item)
+        else:
+            run.append((*leaf, item))
+    close()
+    return out
 
 
 #: Trie depth past which a cover's remaining literals are tested as one
@@ -452,7 +510,11 @@ class _SharedEdge:
         return True
 
     def _render(self, items: list) -> list:
-        """The trie over node ids, as the :class:`Literal` tests a renderer emits."""
+        """The trie over node ids, as the :class:`Literal` tests and runs a renderer emits.
+
+        A bit test that is a temporary renders as its name, so it joins
+        no run.
+        """
         out: list = []
         for item in items:
             if type(item) is int:
@@ -460,7 +522,7 @@ class _SharedEdge:
                 continue
             literals = tuple(Literal(self._site(nid), positive) for nid, positive in item.literals)
             out.append(_Branch(literals, self._render(item.then), self._render(item.orelse)))
-        return out
+        return _bit_runs(out)
 
     def _expr(self, nid: int) -> Expr:
         """Node ``nid`` as an effect reads it: its reference, or its inline tree."""
@@ -492,6 +554,18 @@ class _SharedEdge:
         return self._expr(nid)
 
 
+def _runs(items: list) -> list[tuple[tuple[int, int], ...]]:
+    """The ``bits`` of every :class:`_Bits` in a rendered trie, in walk order."""
+    out: list = []
+    for item in items:
+        if type(item) is _Bits:
+            out.append(item.bits)
+        elif type(item) is _Branch:
+            out += _runs(item.then)
+            out += _runs(item.orelse)
+    return out
+
+
 def _tested(items: list) -> list[int]:
     """The node id of every literal test in a trie, one per test."""
     out: list[int] = []
@@ -508,11 +582,12 @@ class Schedule:
 
     Construction resolves names and slots only; the width scan, the
     bounded settle sweep (:attr:`comb`) and the shared edge
-    (:attr:`refs`, :meth:`walk`) are built on first use.  The shared
-    edge's temporaries and its one cover decision trie — every literal
-    the covers share tested once, ties broken by statement order, at
-    most :data:`MAX_TRIE_DEPTH` tests deep — depend on the model alone,
-    so the source each renderer emits does too.  Renderers and the
+    (:attr:`refs`, :meth:`walk`, :attr:`runs`) are built on first use.
+    The shared edge's temporaries and its one cover decision trie —
+    every literal the covers share tested once, ties broken by statement
+    order, at most :data:`MAX_TRIE_DEPTH` tests deep, each run of
+    single-bit tests of one source one ``count_bits`` event — depend on
+    the model alone, so the source each renderer emits does too.  Renderers and the
     simulations that drive their output share one per compiled model, so
     a simulation of an already-rendered model never builds the shared
     edge.
@@ -613,6 +688,15 @@ class Schedule:
         """
         return [(name, self._bound(expr)) for name, expr in self.model.comb]
 
+    @cached_property
+    def runs(self) -> list[tuple[tuple[int, int], ...]]:
+        """The ``bits`` of each ``count_bits`` event of :meth:`walk`, in walk order.
+
+        What a renderer sizes its run counters and their flush table from
+        before it walks the edge.
+        """
+        return _runs(self._edge.trie)
+
     def walk(self, target) -> None:
         """Drive ``target`` through one clock edge, in the one effect order.
 
@@ -625,7 +709,11 @@ class Schedule:
         follows holds only where the branch's literals do not) and
         ``end()`` (close the innermost branch) — arms are never empty,
         only a one-literal branch has an ``else_``, and branches nest at
-        most :data:`MAX_TRIE_DEPTH` + 1 deep; ``stop(index, pred, en)``
+        most :data:`MAX_TRIE_DEPTH` + 1 deep — and ``count_bits(src,
+        bits)``, a toggle run: per ``(k, slot)`` of ``bits``, add one to
+        the slot's counter where bit ``k`` of ``src`` is set, under the
+        enclosing branches (:func:`bit_tests` gives the per-bit leaf
+        tests it stands for); ``stop(index, pred, en)``
         per stop in statement order — the first that fires wins, and its
         index is what the simulation reports; ``next(index, expr)`` per
         register; ``write(effect)`` per memory write, whose operands
@@ -651,6 +739,9 @@ def _walk_trie(items: list, target) -> None:
     for item in items:
         if type(item) is int:
             target.count(item)
+            continue
+        if type(item) is _Bits:
+            target.count_bits(item.src, item.bits)
             continue
         target.branch(item.literals)
         _walk_trie(item.then, target)

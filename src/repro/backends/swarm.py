@@ -73,7 +73,11 @@ class _LaneRenderer:
     AND-NOT), skips its arm when no lane is left, and its ``else`` arm
     takes ``parent ^ then``.  An implied ``src != 0`` literal only skips
     work: the bit tests beneath it mask their own lanes.  A count adds
-    the enclosing mask into the slot's bit planes.
+    the enclosing mask into the slot's bit planes.  A toggle run
+    (``count_bits``) adds its packed source, ANDed with the enclosing
+    mask times the run's covered bits, into the run's own planes
+    ``r_<j>``, laid out like the source: lane *l*'s count of bit *k*
+    sits at bit ``l * _S + k`` of each plane.
 
     ``masked`` starts the tree from the active-lane set (the mask at
     cycle start, so the cycle a lane stops on still counts, exactly like
@@ -93,6 +97,7 @@ class _LaneRenderer:
         self.mask: Optional[str] = "active" if masked else None
         #: per open branch: the mask around it, its own, and the levels it indents
         self.open: list[tuple[Optional[str], Optional[str], int]] = []
+        self.run = 0
 
     def assign(self, name, expr) -> None:
         self.body.emit(f"{self.ids[name]} = {self.emitter.gen(expr)}")
@@ -149,6 +154,12 @@ class _LaneRenderer:
 
     def count(self, slot) -> None:
         self.body.emit(f"_vadd(c_{slot}, {self.mask or '_R1'})")
+
+    def count_bits(self, src, bits) -> None:
+        covered = sum(1 << k for k, _ in bits)
+        spread = f"({self.mask} * {covered})" if self.mask else self.emitter.rep(covered)
+        self.body.emit(f"_vadd(r_{self.run}, {self.emitter.gen(src)} & {spread})")
+        self.run += 1
 
     def stop(self, index, pred, en) -> None:
         # claim in statement order: a lane removed by an earlier stop is
@@ -241,6 +252,8 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
         load()
         for slot in range(len(schedule.slots)):
             body.emit(f"c_{slot} = counts[{slot}]")
+        for j in range(len(schedule.runs)):
+            body.emit(f"r_{j} = counts[{len(schedule.slots) + j}]")
         body.emit("active = ctl['active']")
         if model.stops:
             body.emit("stop_lane = ctl['stop_lane']")
@@ -280,6 +293,7 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
     head.emit("_HALF = ((1 << (_S - 1)) - 1) * _R1")
     head.emit("_TOP = (1 << (_S - 1)) * _R1")
     head.emit("_SHS = _S - 1")
+    head.emit(f"_RUNS = {tuple(schedule.runs)!r}")
     for line in SWARM_RUNTIME_HELPERS.strip().splitlines():
         head.emit(line)
     head.emit()
@@ -290,9 +304,15 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
 
 
 class _SwarmPlan:
-    """The exec'd packed closures for one (model, lanes) pair."""
+    """The exec'd packed closures for one (model, lanes) pair.
 
-    __slots__ = ("schedule", "source", "settle", "run", "run_full", "lanes", "stride", "rep1")
+    ``counters`` is how many vertical counters ``run`` takes: one per
+    slot, then one per toggle run.  ``parts[slot]`` lists the
+    ``(counter, k)`` run bits that also count the slot.
+    """
+
+    __slots__ = ("schedule", "source", "settle", "run", "run_full", "lanes", "stride",
+                 "rep1", "counters", "parts")
 
     def __init__(self, schedule: Schedule, source: str, code) -> None:
         self.schedule = schedule
@@ -305,6 +325,12 @@ class _SwarmPlan:
         self.lanes = namespace["_L"]
         self.stride = namespace["_S"]
         self.rep1 = namespace["_R1"]
+        slots = len(schedule.slots)
+        self.counters = slots + len(namespace["_RUNS"])
+        self.parts: list[list[tuple[int, int]]] = [[] for _ in range(slots)]
+        for j, bits in enumerate(namespace["_RUNS"]):
+            for k, slot in bits:
+                self.parts[slot].append((slots + j, k))
 
 
 class SwarmSimulation:
@@ -334,8 +360,8 @@ class SwarmSimulation:
             m.name: [[0] * m.padded_depth for _ in range(self.lanes)]
             for m in model.memories
         }
-        #: vertical counters: per cover slot, a list of bit planes
-        self._counts: list[list[int]] = [[] for _ in self._slots]
+        #: vertical counters: per cover slot, then per toggle run, a list of bit planes
+        self._counts: list[list[int]] = [[] for _ in range(plan.counters)]
         self._ctl: dict = {
             "active": plan.rep1,
             "cycle": 0,
@@ -387,7 +413,7 @@ class SwarmSimulation:
         self._check_lane(lane)
         base = lane * self._stride
         return {
-            name: saturate(self._lane_count(self._counts[slot], base), self._counter_width)
+            name: saturate(self._slot_count(slot, base), self._counter_width)
             for name, slot in self._slots.items()
         }
 
@@ -399,10 +425,7 @@ class SwarmSimulation:
         clamps again — so a swarm run merges transparently with scalar
         shards.
         """
-        return {
-            name: self._aggregate(self._counts[slot])
-            for name, slot in self._slots.items()
-        }
+        return {name: self._aggregate(slot) for name, slot in self._slots.items()}
 
     @property
     def stopped(self) -> bool:
@@ -539,22 +562,34 @@ class SwarmSimulation:
                 return (stop.name, stop.exit_code)
         return (None, 0)
 
-    def _lane_count(self, planes: list[int], slot: int) -> int:
+    def _lane_count(self, planes: list[int], at: int) -> int:
+        """The count whose bits sit at bit ``at`` of each plane."""
         count = 0
         for k, plane in enumerate(planes):
-            count |= ((plane >> slot) & 1) << k
+            count |= ((plane >> at) & 1) << k
         return count
 
-    def _aggregate(self, planes: list[int]) -> int:
+    def _slot_count(self, slot: int, base: int) -> int:
+        """The raw count of ``slot`` in the lane at bit ``base``: its own and its run bits'."""
+        counts = self._counts
+        count = self._lane_count(counts[slot], base)
+        for counter, k in self._plan.parts[slot]:
+            count += self._lane_count(counts[counter], base + k)
+        return count
+
+    def _aggregate(self, slot: int) -> int:
         width = self._counter_width
+        counts = self._counts
         if width is None:
             # unbounded counters: the lane sum is a pure popcount reduction
-            return sum(p.bit_count() << k for k, p in enumerate(planes))
+            total = sum(p.bit_count() << i for i, p in enumerate(counts[slot]))
+            for counter, k in self._plan.parts[slot]:
+                lanes = self._rep1 << k
+                total += sum((p & lanes).bit_count() << i for i, p in enumerate(counts[counter]))
+            return total
         total = 0
         for lane in range(self.lanes):
-            total += saturate(
-                self._lane_count(planes, lane * self._stride), width
-            )
+            total += saturate(self._slot_count(slot, lane * self._stride), width)
         return saturate(total, width)
 
 

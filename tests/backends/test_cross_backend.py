@@ -1,16 +1,19 @@
 """The paper's central property: all backends agree on cover counts.
 
-Random circuits are simulated on the interpreting (treadle), compiled
-(verilator), activity-gated (essent) and scan-chain (firesim) backends.
-Outputs must match cycle by cycle and the final cover-count maps must be
-identical — the invariant that makes cross-backend merging sound.
+Random circuits are simulated on the tree-walking interpreter, the
+reference, and on treadle's JIT (the generated class verilator and
+essent also run), native C, swarm's lane 0 and the scan-chain (firesim)
+backend.  Outputs must match cycle by cycle and the final cover-count
+maps must be identical — the invariant that makes cross-backend merging
+sound.
 """
 
 from hypothesis import given, settings
 
 from repro.backends import (
-    EssentBackend,
+    CBackend,
     FireSimBackend,
+    SwarmBackend,
     TreadleBackend,
     VerilatorBackend,
 )
@@ -24,15 +27,11 @@ from ..helpers import random_circuits, random_stimulus, run_with_stimulus
 def test_three_software_backends_agree(circuit):
     stim = random_stimulus(23, 40)
     state = lower(circuit, flatten=True)
-    sims = [
-        TreadleBackend().compile_state(state),
-        VerilatorBackend().compile_state(state),
-        EssentBackend().compile_state(state),
-    ]
-    outputs = [run_with_stimulus(sim, stim) for sim in sims]
-    assert outputs[0] == outputs[1] == outputs[2]
-    counts = [sim.cover_counts() for sim in sims]
-    assert counts[0] == counts[1] == counts[2]
+    reference = TreadleBackend(jit=False).compile_state(state)
+    expected = run_with_stimulus(reference, stim), reference.cover_counts()
+    for backend in (TreadleBackend(jit=True), CBackend(), SwarmBackend(lanes=4)):
+        sim = backend.compile_state(state)
+        assert (run_with_stimulus(sim, stim), sim.cover_counts()) == expected, backend.name
 
 
 @settings(max_examples=8, deadline=None)

@@ -10,6 +10,10 @@ out-of-range memory addresses, a depth-1 memory, shared subexpressions
 and the shapes of the cover trie: bit tests under one test of their
 source, an ``else`` arm, nested whens, a contradictory cover, two covers
 sharing one name and a when chain deeper than the trie's depth cap.
+Toggle runs — single-bit tests of one source counted as one event, in
+C's time-axis bit planes and swarm's source-shaped planes — are held to
+the interpreter across C's plane flush, at both C carriers, under
+``--min-instrument`` and per swarm lane.
 """
 
 import functools
@@ -30,14 +34,17 @@ from repro.backends import (
     TreadleBackend,
     VerilatorBackend,
 )
-from repro.backends.cbackend import generate_c_source
+from repro.backends.api import InputBlock
+from repro.backends.cbackend import RUN_PLANES, generate_c_source
 from repro.backends.model import build_model
-from repro.backends.pycodegen import render_python
-from repro.backends.schedule import MAX_TRIE_DEPTH, Schedule
+from repro.backends.pycodegen import gen_expr, render_python
+from repro.backends.schedule import MAX_TRIE_DEPTH, Schedule, bit_tests
 from repro.backends.swarm import generate_swarm_source
 from repro.coverage import instrument
 from repro.hcl import Module, elaborate
 from repro.ir import parse_circuit, print_expr
+from repro.ir.nodes import Ref
+from repro.ir.types import UIntType
 from repro.passes import CompileState, lower
 
 TIERS = {
@@ -348,7 +355,7 @@ def test_temporaries_are_not_signals():
     assert f"repro_num_signals(void) {{ return {len(signals)}u; }}" in source
 
 
-_TRIE_EVENTS = ("branch", "else_", "end", "count")
+_TRIE_EVENTS = ("branch", "else_", "end", "count", "count_bits")
 
 
 class _Recorder:
@@ -372,6 +379,9 @@ def _token(name, *args):
         )
     if name == "count":
         return f"count {args[0]}"
+    if name == "count_bits":
+        src, bits = args
+        return f"count_bits {print_expr(src)} " + " ".join(f"{k}:{slot}" for k, slot in bits)
     return name
 
 
@@ -395,17 +405,19 @@ def _enclosing(tokens, index):
 
 
 def test_bit_covers_of_one_source_sit_behind_one_guard():
-    # the guard is the trie's one test of x != 0, implied by each bit test
+    # the guard is the trie's one test of x != 0, implied by each bit
+    # test; under it and the one test of en the four bit tests are one
+    # toggle run
     tokens, schedule = _trie(parse_circuit(GUARDED))
-    assert tokens.count("if x") == 1
-    counts = [i for i, token in enumerate(tokens) if token.startswith("count")]
-    assert len(counts) == 4
-    for index in counts:
-        assert "if x" in _enclosing(tokens, index)
-        assert "if en" in _enclosing(tokens, index)
-    # en is tested once too, and each bit once
-    assert tokens.count("if en") == 1
-    assert len(tokens) == 3 * 4 + 2 * 2
+    slots = [schedule.slots[f"b{k}"] for k in range(4)]
+    run = "count_bits x " + " ".join(f"{k}:{slot}" for k, slot in enumerate(slots))
+    assert tokens == ["if x", "if en", run, "end", "end"]
+    assert schedule.runs == [tuple(enumerate(slots))]
+    # the scalar renderer expands the run into the per-bit tests it stands for
+    lines = [line.strip() for line in render_python(build_model(parse_circuit(GUARDED))).splitlines()]
+    for literal, slot in bit_tests(Ref("x", UIntType(4)), enumerate(slots)):
+        at = lines.index(f"if {gen_expr(literal.expr, 'v_{}'.format, str)}:")
+        assert lines[at + 1] == f"cnt[{slot}] += 1"
 
 
 def _drive(sim, inputs, seed=5, cycles=150):
@@ -589,7 +601,7 @@ _RENDER = """
 import hashlib, sys
 from repro.backends.cbackend import generate_c_source
 from repro.backends.model import build_model
-from repro.backends.pycodegen import render_python
+from repro.backends.pycodegen import gen_expr, render_python
 from repro.backends.swarm import generate_swarm_source
 from repro.coverage import instrument
 from repro.designs import RiscvMini
@@ -640,3 +652,183 @@ def test_guarded_swarm_lanes_count_under_their_own_enable():
             scalar.poke("x", frame[lane][1])
             scalar.step(1)
         assert swarm.cover_counts(lane) == scalar.cover_counts()
+
+
+def _toggled(name, width, bits):
+    """The toggle pass's hardware for ``bits`` of ``name``, by hand."""
+    return [
+        f"reg prev_{name} : UInt<{width}>, clock",
+        f"prev_{name} <= {name}",
+        f"node diff_{name} = xor({name}, prev_{name})",
+        *(f"cover(clock, bits(diff_{name}, {k}, {k}), seen) : t_{name}_{k}" for k in bits),
+    ]
+
+
+def _runs_circuit(width):
+    """Two toggle runs: an 8-bit counter, whose bit 0 toggles on every
+    edge, and gapped bits of a ``width``-bit register, whose low bits
+    toggle on every edge and whose top byte follows ``x``."""
+    body = [
+        "input clock : Clock",
+        "input reset : UInt<1>",
+        "input x : UInt<8>",
+        "input halt : UInt<1>",
+        "output o : UInt<8>",
+        "reg seen : UInt<1>, clock",
+        'seen <= UInt<1>("h1")',
+        'reg cnt : UInt<8>, clock reset => (reset, UInt<8>("h0"))',
+        'cnt <= tail(add(cnt, UInt<8>("h1")), 1)',
+        f'reg wide : UInt<{width}>, clock reset => (reset, UInt<{width}>("h0"))',
+        f"wide <= xor(not(wide), shl(x, {width - 8}))",
+        "o <= cnt",
+        'stop(clock, halt, UInt<1>("h1"), 3) : halted',
+        *_toggled("cnt", 8, range(8)),
+        *_toggled("wide", width, sorted({0, 1, 31, 32, 63 % width, 64 % width, width - 8, width - 1})),
+    ]
+    lines = "\n".join(f"    {line}" for line in body)
+    return parse_circuit(f"circuit Runs {{\n  module Runs {{\n{lines}\n  }}\n}}\n")
+
+
+# C's flush period: the cycle counts below cross it after a read
+FLUSH_EDGES = (1 << RUN_PLANES) - 1
+#: C's 64-bit word, and its 128-bit word
+RUN_WIDTHS = [48, 100]
+#: the counts are read after each of these many edges
+RUN_READS = (100, 100 + FLUSH_EDGES + 5)
+
+
+def _run_block(cycles, seed, halt_at=None):
+    rng = random.Random(seed)
+    rows = [(rng.getrandbits(8), int(cycle == halt_at)) for cycle in range(cycles)]
+    return InputBlock.encode((("x", 8), ("halt", 1)), rows)
+
+
+def _drive_reads(sim, block, reads):
+    """Counts after each of ``reads`` edges of ``block``."""
+    counts, done = [], 0
+    for until in reads:
+        sim.drive(block[done:until])
+        counts.append(sim.cover_counts())
+        done = until
+    return counts
+
+
+@functools.lru_cache(maxsize=None)
+def _runs_state(design):
+    """The lowered run circuit of a register width, or the ``"gap"`` design."""
+    return _minimized_runs() if design == "gap" else lower(_runs_circuit(design))
+
+
+@functools.lru_cache(maxsize=None)
+def _interpreted(design, counter_width):
+    """The interpreter's counts of a :func:`_runs_state` design at :data:`RUN_READS`."""
+    sim = TreadleBackend(jit=False).compile_state(_runs_state(design), counter_width=counter_width)
+    return _drive_reads(sim, _run_block(RUN_READS[-1], 1), RUN_READS)
+
+
+@pytest.mark.parametrize("counter_width", [None, 2])
+@pytest.mark.parametrize("width", RUN_WIDTHS)
+def test_toggle_runs_count_like_the_interpreter(backend, width, counter_width):
+    state = _runs_state(width)
+    schedule = Schedule(build_model(state))
+    assert [len(bits) for bits in schedule.runs] == [8, 8]
+    assert (schedule.widest > 64) == (width > 64)
+    expected = _interpreted(width, counter_width)
+    # the counter's bit 0 has toggled on every edge but the first
+    assert expected[-1]["t_cnt_0"] == (3 if counter_width else RUN_READS[-1] - 1)
+    sim = backend.compile_state(state, counter_width=counter_width)
+    assert _drive_reads(sim, _run_block(RUN_READS[-1], 1), RUN_READS) == expected
+
+
+def _minimized_runs():
+    """A toggle-instrumented, minimized design whose masked register's
+    constant-zero bit 6 is elided from its run."""
+    circuit = parse_circuit("""
+circuit Gap {
+  module Gap {
+    input clock : Clock
+    input reset : UInt<1>
+    input x : UInt<8>
+    input halt : UInt<1>
+    output o : UInt<8>
+
+    reg cnt : UInt<8>, clock reset => (reset, UInt<8>("h0"))
+    reg masked : UInt<8>, clock reset => (reset, UInt<8>("h0"))
+    cnt <= tail(add(cnt, UInt<8>("h1")), 1)
+    masked <= or(and(xor(x, cnt), UInt<8>("hb7")), UInt<8>("h8"))
+    o <= masked
+    stop(clock, halt, UInt<1>("h1"), 3) : halted
+  }
+}
+""")
+    state, _ = instrument(circuit, metrics=["toggle"], minimize=True)
+    return state
+
+
+def test_min_instrument_run_with_a_gap_counts_like_the_interpreter(backend):
+    state = _runs_state("gap")
+    ks = [[k for k, _ in bits] for bits in Schedule(build_model(state)).runs]
+    assert [0, 1, 2, 3, 4, 5, 7] in ks
+    expected = _interpreted("gap", None)
+    sim = backend.compile_state(state)
+    assert _drive_reads(sim, _run_block(RUN_READS[-1], 1), RUN_READS) == expected
+
+
+#: per lane: the edge its stop fires on, or None, and the edge it
+#: retires after, or None to run to the last read
+LANE_ENDS = [(None, None), (50, None), (None, 2000), (3000, None)]
+
+
+def _lane_blocks(cycles):
+    return [_run_block(cycles, 20 + lane, halt_at) for lane, (halt_at, _) in enumerate(LANE_ENDS)]
+
+
+def _drive_lane(sim, block, retire):
+    """A lane's counts at the first read and at its end, on a scalar tier."""
+    return _drive_reads(sim, block, (RUN_READS[0], retire or block.cycles))
+
+
+@functools.lru_cache(maxsize=1)
+def _interpreted_lanes():
+    blocks = _lane_blocks(RUN_READS[-1])
+    return [
+        _drive_lane(TreadleBackend(jit=False).compile_state(_runs_state(100)), block, retire)
+        for block, (_, retire) in zip(blocks, LANE_ENDS)
+    ]
+
+
+def test_swarm_lanes_stop_and_retire_independently_under_a_run(backend):
+    state, cycles = _runs_state(100), RUN_READS[-1]
+    blocks = _lane_blocks(cycles)
+    if isinstance(backend, SwarmBackend):
+        swarm = backend.compile_state(state)
+        lanes = range(len(LANE_ENDS))
+        packed = InputBlock(blocks[0].ports, cycles, tuple(block.words[0] for block in blocks))
+        swarm.drive(packed[:RUN_READS[0]])
+        firsts = [swarm.cover_counts(lane) for lane in lanes]
+        swarm.drive(packed[RUN_READS[0]:2000])
+        swarm.retire_lane(2)
+        swarm.drive(packed[2000:])
+        got = [[counts, swarm.cover_counts(lane)] for lane, counts in zip(lanes, firsts)]
+        assert [swarm.lane_active(lane) for lane in lanes] == [True, False, False, False]
+    else:
+        got = [
+            _drive_lane(backend.compile_state(state), block, retire)
+            for block, (_, retire) in zip(blocks, LANE_ENDS)
+        ]
+    expected = _interpreted_lanes()
+    assert [counts["t_cnt_0"] for _, counts in expected] == [cycles - 1, 50, 1999, 3000]
+    assert got == expected
+
+
+#: reads on both sides of a flush edge, then two flush periods unread
+LONG_READS = (FLUSH_EDGES, FLUSH_EDGES + 1, 3 * FLUSH_EDGES + 4)
+
+
+def test_run_longer_than_the_flush_period_reads_like_the_jit(backend):
+    # the JIT keeps the per-bit tests, so it is the reference for C's planes
+    state = _runs_state(48)
+    block = _run_block(LONG_READS[-1], 2)
+    expected = _drive_reads(TreadleBackend(jit=True).compile_state(state), block, LONG_READS)
+    assert expected[-1]["t_cnt_0"] == LONG_READS[-1] - 1
+    assert _drive_reads(backend.compile_state(state), block, LONG_READS) == expected

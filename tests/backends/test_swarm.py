@@ -112,7 +112,7 @@ def _assert_lanes_match_scalar(
         _stimulus(circuit, cycles, seed + lane) for lane in range(lanes)
     ]
     got = _run_swarm(swarm, circuit, per_lane)
-    backend = TreadleBackend()
+    backend = TreadleBackend(jit=False)
     for lane in range(lanes):
         ref = getattr(backend, compile_)(
             circuit_or_state, counter_width=counter_width
